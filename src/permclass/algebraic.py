@@ -462,7 +462,8 @@ def _positive_roots(coeffs: list[Fraction]) -> list[float]:
     """Positive real roots of a rational-coefficient polynomial,
     isolated by recursion on the derivative (the polynomial is
     monotonic between derivative roots) and refined by bisection to
-    1e-9, then polished with one round of float Newton."""
+    1e-9, then polished with float Newton on the squarefree part, where
+    every root is simple and Newton converges quadratically."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     while coeffs and coeffs[0] == 0:
@@ -472,7 +473,7 @@ def _positive_roots(coeffs: list[Fraction]) -> list[float]:
     sq = _squarefree(coeffs)
     bound = 1 + max(abs(c) for c in sq[:-1]) / abs(sq[-1])
     roots = _roots_between(sq, Fraction(0), Fraction(bound))
-    return [_polish(coeffs, r) for r in roots if r > 0]
+    return [_polish(sq, r) for r in roots if r > 0]
 
 
 def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:

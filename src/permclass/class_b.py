@@ -17,14 +17,20 @@ with the linear monomial operators
     Lambda: t^k -> [z/(1-2z)] (t + ... + t^k)
     Xi:     t^k -> [tz/(1-tz)] sum_{j=0}^{k-1} t^{k-1-j} / (1-z)^j
 
-Every image strictly raises z-order, so one sweep per z-order computes
-f exactly to any truncation.
+Every image strictly raises z-order: row n (the z^n coefficient) of the
+right-hand side needs only rows below n of f.  ``iterate`` therefore
+computes the rows online, each row of every intermediate once.  The
+column sums behind Phi, Theta and Psi act within a row, and the Psi,
+Lambda and Xi prefactors have linear denominators, which act as
+one-row recurrences; only Phi's product with s costs more, about n^3/6
+coefficient products for row n, so order N costs about N^4/24 in all.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .series import BivariateSeries, SeriesError, UnivariateSeries
+from .series import (BivariateSeries, OnlineQuotient, UnivariateSeries,
+                     check_counting, row_product, tpoly_sum)
 
 
 @dataclass(frozen=True)
@@ -135,36 +141,68 @@ def xi_apply(w: BivariateSeries) -> BivariateSeries:
 
 
 def iterate(n_max: int) -> ClassBState:
-    """Compute f exactly to order n_max by one sweep per z-order.
+    """Compute f exactly to order n_max, one row at a time.
+
+    Row n of f is 1 (at n = 0) plus row n of s * A, of the Psi
+    prefactor times B and of tz/(1-tz) times sum_i t^i H_i, where A
+    holds the column suffix sums of f, B those of Theta[f] from t^1
+    on, and H the Xi chain over Lambda[f] = z/(1-2z) Theta[f].  Each
+    needs rows of f below n only.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
     """
-    s_full = s_series(n_max)
-    f = BivariateSeries.one(0)
-    for n in range(1, n_max + 1):
-        f = BivariateSeries([list(r) for r in f.c], n)
-        s = s_full.truncate(n)
-        f = 1 + phi_apply(f, s) + psi_apply(theta_apply(f)) \
-            + xi_apply(lambda_apply(f))
-    _check_state(n_max, f)
-    return ClassBState(order=n_max, f=f, s=s_full)
+    if n_max < 0:
+        raise ValueError("order must be >= 0, got %d" % n_max)
+    s = s_series(n_max)
+    s_z = s.c[1:]                 # s/z: s has no z^0 term
+    f, a = [], []
+    # B / ((1-z)^2 (1-tz) (1-(1+t)z)), which is Psi[Theta[f]] / (t^2 z^4)
+    psi = OnlineQuotient([1], [1], [0, 1], [1, 1])
+    lam = OnlineQuotient([2])     # Theta[f] / (1-2z) = Lambda[f] / z
+    xi = OnlineQuotient([0, 1])   # sum_i t^i H_i / (1-tz) = Xi[...] / (tz)
+    q = [0]                       # running z-sums of the H_i
+    xi.push([0])                  # row 0 of H: Lambda[f] starts at z^1
+    for n in range(n_max + 1):
+        if n == 0:
+            row = [1]
+        else:
+            row = tpoly_sum(row_product(s_z, a, n - 1),
+                            ([0, 0] + psi.rows[n - 4]) if n >= 4 else [0],
+                            [0] + xi.rows[n - 1])
+        f.append(row)
+        a.append(_suffix_sums_row(row))
+        psi.push(_suffix_sums_row(a[n][1:]))   # row n of B
+        # row n of Theta[f] gives row n+1 of Lambda[f], hence of H
+        theta = [0] + a[n][1:]
+        xi.push(_xi_chain_row(lam.push(theta), q))
+    state = ClassBState(order=n_max, f=BivariateSeries(f, n_max), s=s)
+    check_counting(state.f)
+    return state
 
 
-class ConsistencyError(ArithmeticError):
-    """A coefficient came out non-integral or negative: the iteration
-    no longer counts anything."""
+def _suffix_sums_row(row: list) -> list:
+    """[sum(row[j:]) for each j]; [0] for an empty row."""
+    out = list(row) or [0]
+    for j in range(len(out) - 2, -1, -1):
+        out[j] += out[j + 1]
+    return out
 
 
-def _check_state(order: int, f: BivariateSeries) -> None:
-    for n, row in enumerate(f.c):
-        if len(row) - 1 > n and any(row[n + 1:]):
-            raise ConsistencyError("t-degree exceeds length at z^%d" % n)
-        for x in row:
-            if not isinstance(x, int) or x < 0:
-                raise ConsistencyError(
-                    "non-integer or negative coefficient at z^%d: %r"
-                    % (n, x))
+def _xi_chain_row(lam_row: list, q: list) -> list:
+    """The next row of sum_i t^i H_i for the chain
+    H_i = Lambda_{i+1} + H_{i+1}/(1-z), given the same row of Lambda[f]
+    and the running z-sums q_i of the H_i, which it updates."""
+    top = max(len(lam_row), len(q)) - 2
+    q.extend([0] * (top + 2 - len(q)))
+    out = [0] * (top + 1)
+    above = 0                     # H_{i+1} in this row
+    for i in range(top, -1, -1):
+        q[i + 1] += above
+        above = out[i] = \
+            (lam_row[i + 1] if i + 1 < len(lam_row) else 0) + q[i + 1]
+    q[0] += above
+    return out or [0]
 
 
 def counts(state: ClassBState) -> list[int]:
@@ -174,6 +212,17 @@ def counts(state: ClassBState) -> list[int]:
     [1, 1, 2, 6, 22, 89, 381]
     """
     return [int(x) for x in state.f.subst_t(1).c]
+
+
+def equation_residuals(state: ClassBState) -> int:
+    """z-order of the first coefficient at which f differs from
+    1 + Phi[f] + Psi[Theta[f]] + Xi[Lambda[f]], built from the
+    whole-series operators (order+1 means the state satisfies the
+    equation through the truncation)."""
+    f = state.f
+    rhs = 1 + phi_apply(f, state.s) + psi_apply(theta_apply(f)) \
+        + xi_apply(lambda_apply(f))
+    return (f - rhs).valuation()
 
 
 def case_decomposition(state: ClassBState

@@ -4,9 +4,10 @@ Subcommands: count, distribution, guess, verify, growth, kernel-check.
 Output formats: text (default), json (schema permclass/1), csv where a
 table is natural.  All output is deterministic for a given invocation.
 
-Exit codes: 0 success; 2 usage or parse error (argparse); 3 oracle/
-functional-equation mismatch; 4 node budget exhausted; 5 verification
-failed; 6 internal consistency failure; 7 no polynomial found.
+Exit codes: 0 success; 2 usage, parse or out-of-range input error;
+3 oracle/functional-equation mismatch; 4 node budget exhausted;
+5 verification failed; 6 internal consistency failure; 7 no polynomial
+found.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import sys
 
 from . import algebraic, class_a, class_b, fixtures, oracle, perms
 from .polynomials import MultivariatePolynomial
-from .series import UnivariateSeries
+from .series import ConsistencyError, UnivariateSeries
 
 SCHEMA = "permclass/1"
 
@@ -325,10 +326,12 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except (class_a.ConsistencyError, class_b.ConsistencyError) as exc:
+    except ConsistencyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
-    except algebraic.InsufficientDataError as exc:
+    except ValueError as exc:
+        # out-of-range input rejected by the library (SeriesError and
+        # InsufficientDataError included)
         print("error: %s" % exc, file=sys.stderr)
         return 2
 

@@ -9,7 +9,7 @@ fabricated zeros.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from . import _kernels
 
@@ -18,6 +18,11 @@ Coeff = Union[int, Fraction]
 
 class SeriesError(ValueError):
     pass
+
+
+class ConsistencyError(ArithmeticError):
+    """A coefficient came out non-integral or negative: the iteration
+    no longer counts anything."""
 
 
 def _as_exact(x) -> Coeff:
@@ -124,12 +129,6 @@ class UnivariateSeries:
     def __truediv__(self, other: "UnivariateSeries"):
         return self * other.inverse()
 
-    def pow_trunc(self, e: int) -> "UnivariateSeries":
-        out = UnivariateSeries.one(self.order)
-        for _ in range(e):
-            out = out * self
-        return out
-
     # -- access ------------------------------------------------------
 
     def coefficient(self, n: int) -> Coeff:
@@ -181,6 +180,58 @@ def _tpoly_trim(p: list) -> list:
     while len(p) > 1 and not p[-1]:
         p.pop()
     return p
+
+
+def tpoly_sum(*polys: Sequence[Coeff]) -> list:
+    """The sum of polynomials in t given as coefficient lists."""
+    out = [0] * max(len(p) for p in polys)
+    for p in polys:
+        for j, x in enumerate(p):
+            out[j] += x
+    return _tpoly_trim(out)
+
+
+def row_product(a: Sequence[Sequence[Coeff]], b: Sequence[Sequence[Coeff]],
+                n: int) -> list:
+    """Row n (the z^n coefficient, a polynomial in t) of the product of
+    two bivariate series given by their rows: sum_{i=0..n} a_i b_{n-i}.
+
+    Both row lists must hold rows 0..n; later rows are not read, so an
+    online caller can ask for row n as soon as both factors reach it.
+    """
+    pairs = [(a[i], b[n - i]) for i in range(n + 1)]
+    acc = [0] * max(len(p) + len(q) - 1 for p, q in pairs)
+    for p, q in pairs:
+        _kernels.tpoly_mul_acc(acc, p, q)
+    return _tpoly_trim(acc)
+
+
+class OnlineQuotient:
+    """The rows of w / prod_k (1 - c_k(t) z) for a bivariate series w
+    whose rows arrive one at a time.
+
+    Dividing by 1 - c(t) z is the recurrence out_n = w_n + c(t) out_{n-1},
+    so each row costs one short t-polynomial product per factor, where a
+    product with the expanded prefactor would cost n of them.
+    """
+
+    __slots__ = ("factors", "rows", "_last")
+
+    def __init__(self, *factors: Sequence[Coeff]):
+        self.factors = [list(c) for c in factors]
+        self._last = [[0] for _ in self.factors]
+        self.rows: list[list] = []
+
+    def push(self, row: Sequence[Coeff]) -> list:
+        """Take row n of w; return row n of the quotient (also kept in
+        ``rows``)."""
+        for k, c in enumerate(self.factors):
+            last = self._last[k]
+            acc = list(row) + [0] * (len(c) + len(last) - 1 - len(row))
+            _kernels.tpoly_mul_acc(acc, c, last)
+            row = self._last[k] = _tpoly_trim(acc)
+        self.rows.append(row)
+        return row
 
 
 class BivariateSeries:
@@ -244,13 +295,8 @@ class BivariateSeries:
         if isinstance(other, UnivariateSeries):
             other = BivariateSeries.from_univariate(other)
         n = self._common(other)
-        rows = []
-        for i in range(n + 1):
-            a, b = self.c[i], other.c[i]
-            m = max(len(a), len(b))
-            rows.append([(a[j] if j < len(a) else 0)
-                         + (b[j] if j < len(b) else 0) for j in range(m)])
-        return BivariateSeries(rows, n)
+        return BivariateSeries(
+            [tpoly_sum(self.c[i], other.c[i]) for i in range(n + 1)], n)
 
     __radd__ = __add__
 
@@ -268,29 +314,10 @@ class BivariateSeries:
             return BivariateSeries(
                 [[x * other for x in r] for r in self.c], self.order)
         if isinstance(other, UnivariateSeries):
-            n = min(self.order, other.order)
-            rows = []
-            for m in range(n + 1):
-                acc = [0] * max(len(self.c[i]) for i in range(m + 1))
-                for i in range(m + 1):
-                    s = other.c[m - i]
-                    if s:
-                        row = self.c[i]
-                        for j, x in enumerate(row):
-                            if x:
-                                acc[j] += x * s
-                rows.append(acc)
-            return BivariateSeries(rows, n)
+            other = BivariateSeries.from_univariate(other)
         n = self._common(other)
-        rows = []
-        for m in range(n + 1):
-            width = max((len(self.c[i]) + len(other.c[m - i]) - 1
-                         for i in range(m + 1)), default=1)
-            acc = [0] * width
-            for i in range(m + 1):
-                _kernels.tpoly_mul_acc(acc, self.c[i], other.c[m - i])
-            rows.append(acc)
-        return BivariateSeries(rows, n)
+        return BivariateSeries(
+            [row_product(self.c, other.c, m) for m in range(n + 1)], n)
 
     __rmul__ = __mul__
 
@@ -316,14 +343,11 @@ class BivariateSeries:
                 "bivariate inverse needs a constant unit z^0 coefficient")
         a0 = head[0]
         inv0 = a0 if a0 in (1, -1) else Fraction(1, 1) / a0
+        # row n: -inv0 * sum_{k=1..n} c_k rows_{n-k}, a row of (c/z) * rows
+        tail = self.c[1:]
         rows = [[inv0]]
         for n in range(1, self.order + 1):
-            width = max((len(self.c[k]) + len(rows[n - k]) - 1
-                         for k in range(1, n + 1)), default=1)
-            acc = [0] * width
-            for k in range(1, n + 1):
-                _kernels.tpoly_mul_acc(acc, self.c[k], rows[n - k])
-            rows.append([-x * inv0 for x in acc])
+            rows.append([-x * inv0 for x in row_product(tail, rows, n - 1)])
         return BivariateSeries(rows, self.order)
 
     # -- substitutions and derivatives -------------------------------
@@ -371,8 +395,12 @@ class BivariateSeries:
             raise SeriesError("cannot extend truncation order")
         return BivariateSeries([list(r) for r in self.c[:order + 1]], order)
 
-    def max_t_degree(self) -> int:
-        return max(len(_tpoly_trim(list(r))) - 1 for r in self.c)
+    def valuation(self) -> int:
+        """z-order of the first nonzero row; order+1 if zero."""
+        for n, row in enumerate(self.c):
+            if any(row):
+                return n
+        return self.order + 1
 
     def __eq__(self, other):
         if not isinstance(other, BivariateSeries):
@@ -417,8 +445,17 @@ def expand_ratio(numer: BivariateSeries,
     return out
 
 
-def bracket_poly(coeffs_by_zpow: Sequence[Sequence[Coeff]],
-                 order: int) -> BivariateSeries:
-    """A bivariate polynomial, given the t-coefficient list of each
-    z-power, as a series truncated at ``order``."""
-    return BivariateSeries(coeffs_by_zpow, order)
+def check_counting(*series: BivariateSeries) -> None:
+    """Raise ConsistencyError unless every coefficient is a nonnegative
+    int and the t-degree of each z^n coefficient is at most n, as for a
+    series counting permutations by length and a statistic."""
+    for f in series:
+        for n, row in enumerate(f.c):
+            if len(row) - 1 > n and any(row[n + 1:]):
+                raise ConsistencyError(
+                    "t-degree exceeds length at z^%d" % n)
+            for x in row:
+                if not isinstance(x, int) or x < 0:
+                    raise ConsistencyError(
+                        "non-integer or negative coefficient at z^%d: %r"
+                        % (n, x))

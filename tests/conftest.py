@@ -2,9 +2,13 @@ import pathlib
 
 import pytest
 
-from permclass import class_a, class_b
+from permclass import class_a, class_b, oracle, perms
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+BASES = {"class_a": perms.CLASS_A_BASIS, "class_b": perms.CLASS_B_BASIS}
+STATISTICS = {"class_a": "initial_decreasing_run",
+              "class_b": "marked_trailing_run"}
 
 
 @pytest.fixture(scope="session")
@@ -18,6 +22,22 @@ def state_a60():
 def state_b60():
     """Class-B functional-equation state at order 60."""
     return class_b.iterate(60)
+
+
+@pytest.fixture(scope="session")
+def oracle_counts_11():
+    """Oracle reports with the counts to n = 11 for both classes; the
+    slowest oracle runs of the suite, made once."""
+    return {name: oracle.enumerate_avoiders(basis, 11)
+            for name, basis in BASES.items()}
+
+
+@pytest.fixture(scope="session")
+def oracle_distributions_10():
+    """Oracle reports with the distribution of each class's tracked
+    statistic (see STATISTICS) to n = 10."""
+    return {name: oracle.statistic_distribution(basis, 10, STATISTICS[name])
+            for name, basis in BASES.items()}
 
 
 def golden_text(name: str) -> str:

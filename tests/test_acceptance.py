@@ -8,24 +8,25 @@ runnable content and is represented here only by this note.
 import time
 from fractions import Fraction
 
-from permclass import algebraic, class_a, class_b, fixtures, oracle, perms
+from permclass import algebraic, class_a, class_b, fixtures
 from permclass.series import UnivariateSeries
 
 
-def test_criterion_01_class_a_counts_match_oracle_to_n11(state_a60):
-    rep = oracle.enumerate_avoiders(perms.CLASS_A_BASIS, 11)
+def test_criterion_01_class_a_counts_match_oracle_to_n11(
+        state_a60, oracle_counts_11):
+    rep = oracle_counts_11["class_a"]
     assert class_a.counts(state_a60)[:12] == rep.counts
 
 
-def test_criterion_02_class_b_counts_match_oracle_to_n11(state_b60):
-    rep = oracle.enumerate_avoiders(perms.CLASS_B_BASIS, 11)
+def test_criterion_02_class_b_counts_match_oracle_to_n11(
+        state_b60, oracle_counts_11):
+    rep = oracle_counts_11["class_b"]
     assert class_b.counts(state_b60)[:12] == rep.counts
 
 
 def test_criterion_03_bivariate_coefficients_match_oracle_to_n10(
-        state_a60, state_b60):
-    rep_a = oracle.statistic_distribution(perms.CLASS_A_BASIS, 10,
-                                          "initial_decreasing_run")
+        state_a60, state_b60, oracle_distributions_10):
+    rep_a = oracle_distributions_10["class_a"]
     for n in range(11):
         row = rep_a.distributions["initial_decreasing_run"][n]
         for k in range(n + 1):
@@ -33,8 +34,7 @@ def test_criterion_03_bivariate_coefficients_match_oracle_to_n10(
                 (row[k] if k < len(row) else 0)
     # for class B the tracked statistic is the trailing increasing run
     # without its minimum entry (see notes on the slice recursion)
-    rep_b = oracle.statistic_distribution(perms.CLASS_B_BASIS, 10,
-                                          "marked_trailing_run")
+    rep_b = oracle_distributions_10["class_b"]
     for n in range(11):
         row = rep_b.distributions["marked_trailing_run"][n]
         for k in range(n + 1):

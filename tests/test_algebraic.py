@@ -115,8 +115,10 @@ def test_growth_exact_quartic_direct():
 def test_class_a_exact_growth(state_a60):
     eq5 = fixtures.eq5_min_poly()
     candidates = algebraic.growth_exact(eq5)
-    assert any(abs(c - 5 / 32) < 1e-8 for c in candidates)
+    # 5/32 is a double root of the discriminant: polishing must run on
+    # the squarefree part to reach float precision there
+    assert any(abs(c - 5 / 32) < 1e-12 for c in candidates)
     disc = algebraic.discriminant_in_z(eq5)
     assert disc.eval({"z": Fraction(5, 32)}) == 0
     growth = algebraic.reported_growth(eq5, class_a.counts(state_a60))
-    assert abs(growth - 32 / 5) < 1e-6
+    assert abs(growth - 32 / 5) < 1e-12

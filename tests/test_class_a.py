@@ -1,7 +1,7 @@
 import pytest
 
 from permclass import class_a, oracle, perms
-from permclass.series import BivariateSeries
+from permclass.series import BivariateSeries, ConsistencyError, check_counting
 
 from conftest import golden_text
 
@@ -68,5 +68,6 @@ def test_consistency_check_catches_bad_state():
     st = class_a.iterate(5)
     broken = BivariateSeries([list(r) for r in st.f.c], st.order)
     broken.c[3][1] = -broken.c[3][1]
-    with pytest.raises(class_a.ConsistencyError):
-        class_a._check_state(st.order, broken, st.fskew)
+    check_counting(st.f, st.fskew)
+    with pytest.raises(ConsistencyError):
+        check_counting(broken, st.fskew)

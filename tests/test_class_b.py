@@ -19,6 +19,19 @@ def test_counts_match_oracle_golden(state_b60):
     assert class_b.counts(state_b60)[:len(golden)] == golden
 
 
+def test_equation_residuals(state_b60):
+    """The online rows satisfy the equation as built from the
+    whole-series operators, which the iteration does not call."""
+    assert class_b.equation_residuals(state_b60) > state_b60.order
+
+
+def test_equation_residuals_detect_a_wrong_row(state_b60):
+    f = BivariateSeries([list(r) for r in state_b60.f.c], state_b60.order)
+    f.c[57][2] += 1
+    broken = class_b.ClassBState(order=f.order, f=f, s=state_b60.s)
+    assert class_b.equation_residuals(broken) == 57
+
+
 def test_s_series_first_coefficients():
     s = class_b.s_series(3)
     assert s.c == [[0], [1], [0, 1], [0, 1, 1]]

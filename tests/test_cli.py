@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from permclass import cli
+from permclass import class_a, cli
+from permclass.series import ConsistencyError
 
 from conftest import golden_text
 
@@ -141,3 +142,27 @@ def test_kernel_check(capsys):
     code, out, _ = run_cli(capsys, "kernel-check", "--order", "15")
     assert code == 0
     assert "PASS" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--class", "class_a", "--n", "-1",
+     "--method", "functional_equation"),
+    ("count", "--class", "class_a", "--n", "-1", "--method", "oracle"),
+    ("verify", "--class", "class_a", "--fixture", "eq5", "--order", "-3"),
+    ("growth", "--class", "class_a", "--terms", "5"),
+], ids=["count_fe", "count_oracle", "verify_order", "growth_terms"])
+def test_out_of_range_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_consistency_failure_exit_code(capsys, monkeypatch):
+    def broken(n_max):
+        raise ConsistencyError("non-integer coefficient at z^3")
+    monkeypatch.setattr(class_a, "iterate", broken)
+    code, _, err = run_cli(capsys, "count", "--class", "class_a", "--n", "5",
+                           "--method", "functional_equation")
+    assert code == cli.EXIT_INCONSISTENT
+    assert err == "error: non-integer coefficient at z^3\n"

@@ -1,0 +1,35 @@
+"""Properties shared by the online iterations of both classes."""
+import dataclasses
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from permclass import class_a, class_b
+
+CLASSES = [class_a, class_b]
+
+
+@pytest.fixture(scope="session")
+def states_40():
+    return {mod.__name__: mod.iterate(40) for mod in CLASSES}
+
+
+@pytest.mark.parametrize("mod", CLASSES, ids=["class_a", "class_b"])
+@settings(deadline=None)
+@given(n=st.integers(min_value=0, max_value=25))
+def test_iterate_is_a_prefix_of_a_deeper_iterate(mod, states_40, n):
+    """Every series of the state at order n is the order-40 one
+    truncated, so nothing the iteration builds once at order n (s, the
+    prefactor recurrences) depends on n beyond the truncation."""
+    deep, state = states_40[mod.__name__], mod.iterate(n)
+    assert state.order == n
+    for field in dataclasses.fields(state):
+        if field.name != "order":
+            assert getattr(state, field.name) == \
+                getattr(deep, field.name).truncate(n)
+
+
+@pytest.mark.parametrize("mod", CLASSES, ids=["class_a", "class_b"])
+def test_iterate_rejects_negative_order(mod):
+    with pytest.raises(ValueError):
+        mod.iterate(-1)

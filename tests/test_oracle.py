@@ -14,10 +14,9 @@ def test_pruned_generation_equals_full_filter(basis):
         assert rep.counts[n] == len(oracle.filter_all_avoiders(basis, n))
 
 
-def test_counts_match_golden_files():
-    for basis, name in ((CLASS_A_BASIS, "class_a"), (CLASS_B_BASIS,
-                                                     "class_b")):
-        rep = oracle.enumerate_avoiders(basis, 11)
+def test_counts_match_golden_files(oracle_counts_11):
+    for name in ("class_a", "class_b"):
+        rep = oracle_counts_11[name]
         assert rep.serialize_counts() == golden_text(name + "_counts.tsv")
 
 
@@ -41,13 +40,11 @@ def test_statistic_distribution_row_sums():
         assert sum(row) == rep.counts[n]
 
 
-def test_distribution_golden_files():
-    repa = oracle.statistic_distribution(CLASS_A_BASIS, 10,
-                                         "initial_decreasing_run")
+def test_distribution_golden_files(oracle_distributions_10):
+    repa = oracle_distributions_10["class_a"]
     assert repa.serialize_distribution("initial_decreasing_run") == \
         golden_text("class_a_initial_decreasing_run.csv")
-    repb = oracle.statistic_distribution(CLASS_B_BASIS, 10,
-                                         "marked_trailing_run")
+    repb = oracle_distributions_10["class_b"]
     assert repb.serialize_distribution("marked_trailing_run") == \
         golden_text("class_b_marked_trailing_run.csv")
 

@@ -3,8 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from permclass.series import (BivariateSeries, SeriesError, UnivariateSeries,
-                              expand_ratio)
+from permclass.series import (BivariateSeries, OnlineQuotient, SeriesError,
+                              UnivariateSeries, expand_ratio, row_product)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
                   max_size=7)
@@ -89,6 +89,46 @@ def test_bivariate_univariate_and_scalar_branches():
     assert left == right
     assert (f * 3).c[2] == [0, 0, 3]
     assert (3 * f) == f * 3
+
+
+tpolys = st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
+                 max_size=5)
+brows = st.lists(tpolys, min_size=1, max_size=6)
+
+
+def naive_product(a, b):
+    """{(z-power, t-power): coefficient} of the full product."""
+    out = {}
+    for i, p in enumerate(a):
+        for j, x in enumerate(p):
+            for k, q in enumerate(b):
+                for l, y in enumerate(q):
+                    key = (i + k, j + l)
+                    out[key] = out.get(key, 0) + x * y
+    return out
+
+
+@given(brows, brows)
+def test_row_product_matches_naive_product(a, b):
+    full = naive_product(a, b)
+    for n in range(min(len(a), len(b))):
+        row = row_product(a, b, n)
+        assert len(row) == 1 or row[-1] != 0
+        want = [full.get((n, j), 0) for j in range(max(len(row), 10))]
+        assert row + [0] * (len(want) - len(row)) == want
+
+
+@given(brows)
+def test_online_quotient_matches_inverse(w):
+    order = len(w) - 1
+    factors = ([1], [2], [0, 1], [1, 1])
+    quot = OnlineQuotient(*factors)
+    rows = [quot.push(r) for r in w]
+    assert quot.rows == rows
+    want = BivariateSeries(w, order)
+    for c in factors:
+        want = want * BivariateSeries([[1], [-x for x in c]], order).inverse()
+    assert BivariateSeries(rows, order) == want
 
 
 def test_bivariate_inverse():
