@@ -15,6 +15,7 @@ Four groups of tools:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -104,7 +105,7 @@ def _nullspace_vector(powers: list[UnivariateSeries], dy: int, dz: int,
     lcm = 1
     for c in vec:
         if c:
-            lcm = lcm * c.denominator // _gcd(lcm, c.denominator)
+            lcm = math.lcm(lcm, c.denominator)
     terms = {}
     ady = adz = 0
     for (i, j), c in zip(cols, vec):
@@ -114,12 +115,6 @@ def _nullspace_vector(powers: list[UnivariateSeries], dy: int, dz: int,
             adz = max(adz, j)
     poly = MultivariatePolynomial(("z", "y"), terms).primitive()
     return poly, adz, ady
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _nullspace(matrix: list[list[Fraction]], ncols: int
@@ -417,7 +412,7 @@ def growth_exact(minpoly: MultivariatePolynomial) -> list[float]:
             minpoly.coefficient_in("y", 0)
         candidates = _positive_roots(_z_coeffs(target))
     else:
-        disc = resultant(minpoly, minpoly.derivative("y"), "y")
+        disc = discriminant_in_z(minpoly)
         lead = minpoly.coefficient_in("y", dy)
         candidates = _positive_roots(_z_coeffs(disc))
         candidates += _positive_roots(_z_coeffs(lead))

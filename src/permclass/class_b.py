@@ -56,13 +56,15 @@ def s_series(order: int) -> BivariateSeries:
     [[0], [1], [0, 1], [0, 1, 1]]
     """
     inv_tz = BivariateSeries.geometric_tz(order)
-    inv_z = UnivariateSeries.geometric(1, order)
+    # 1/(1-tz)^2 and 1/(1-z)^2 from their closed forms, (n+1) (tz)^n
+    inv_tz2 = BivariateSeries([[0] * n + [n + 1] for n in range(order + 1)],
+                              order)
+    inv_z2 = UnivariateSeries([n + 1 for n in range(order + 1)], order)
     inv_2z = UnivariateSeries.geometric(2, order)
     inv_1pt = BivariateSeries([[1], [-1, -1]], order).inverse()  # 1/(1-(1+t)z)
     term1 = inv_tz.shift(1)
-    term2 = ((inv_tz * inv_tz) * inv_2z).shift(3).mul_tpoly([0, 1])
-    term3 = ((((inv_tz * inv_tz) * inv_1pt) * (inv_z * inv_z))
-             .shift(5).mul_tpoly([0, 0, 1]))
+    term2 = (inv_tz2 * inv_2z).shift(3).mul_tpoly([0, 1])
+    term3 = ((inv_tz2 * inv_1pt) * inv_z2).shift(5).mul_tpoly([0, 0, 1])
     return term1 + term2 + term3
 
 

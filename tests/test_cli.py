@@ -148,9 +148,11 @@ def test_kernel_check(capsys):
     ("count", "--class", "class_a", "--n", "-1",
      "--method", "functional_equation"),
     ("count", "--class", "class_a", "--n", "-1", "--method", "oracle"),
+    ("distribution", "--class", "class_a", "--n", "-1"),
     ("verify", "--class", "class_a", "--fixture", "eq5", "--order", "-3"),
     ("growth", "--class", "class_a", "--terms", "5"),
-], ids=["count_fe", "count_oracle", "verify_order", "growth_terms"])
+], ids=["count_fe", "count_oracle", "distribution", "verify_order",
+        "growth_terms"])
 def test_out_of_range_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

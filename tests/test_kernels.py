@@ -1,22 +1,11 @@
-import os
-import subprocess
-import sys
-from fractions import Fraction
-
-import pytest
 from hypothesis import given, strategies as st
 
 from permclass import _kernels, perms
-from permclass._kernels import get_backend
-
-PY = get_backend("python")
-try:
-    CY = get_backend("cython")
-except ImportError:  # extension not built; parity tests degenerate
-    CY = PY
 
 perm_lists = st.permutations(range(1, 9))
 values = st.integers(min_value=1, max_value=9)
+any_perms = st.integers(0, 12).flatmap(
+    lambda n: st.permutations(range(1, n + 1)))
 
 
 def _child(p, v):
@@ -27,25 +16,13 @@ def _child(p, v):
 
 
 @given(perm_lists, values)
-def test_class_a_backends_agree(p, v):
-    q, v = _child(list(p), v)
-    assert PY.class_a_child_ok(q, v) == CY.class_a_child_ok(q, v)
-
-
-@given(perm_lists, values)
-def test_class_b_backends_agree(p, v):
-    q, v = _child(list(p), v)
-    assert PY.class_b_child_ok(q, v) == CY.class_b_child_ok(q, v)
-
-
-@given(perm_lists, values)
 def test_class_a_check_matches_generic_containment(p, v):
     q, v = _child(list(p), v)
     parent = perms.Perm(tuple(p))
     if not perms.avoids_basis(parent, perms.CLASS_A_BASIS):
         return
     want = perms.avoids_basis(perms.Perm(q), perms.CLASS_A_BASIS)
-    assert PY.class_a_child_ok(q, v) == want
+    assert _kernels.class_a_child_ok(q, v) == want
 
 
 @given(perm_lists, values)
@@ -55,42 +32,33 @@ def test_class_b_check_matches_generic_containment(p, v):
     if not perms.avoids_basis(parent, perms.CLASS_B_BASIS):
         return
     want = perms.avoids_basis(perms.Perm(q), perms.CLASS_B_BASIS)
-    assert PY.class_b_child_ok(q, v) == want
+    assert _kernels.class_b_child_ok(q, v) == want
 
 
-coeff_lists = st.lists(
-    st.one_of(st.integers(-9, 9),
-              st.fractions(min_value=-3, max_value=3, max_denominator=6)),
-    min_size=1, max_size=6)
+def _forbidden_by_containment(p, basis):
+    """Bit v set iff p+v has a basis occurrence ending at v."""
+    forbid = 0
+    for v in range(1, len(p) + 2):
+        q = perms.Perm(_child(p, v)[0])
+        if any(perms.contains_ending_at_last(q, sigma)
+               for sigma in basis.patterns):
+            forbid |= 1 << v
+    return forbid
 
 
-@given(coeff_lists, coeff_lists)
-def test_tpoly_mul_acc_backends_agree(p, q):
-    a1 = [0] * (len(p) + len(q) - 1)
-    a2 = [0] * (len(p) + len(q) - 1)
-    PY.tpoly_mul_acc(a1, p, q)
-    CY.tpoly_mul_acc(a2, list(p), list(q))
-    assert a1 == a2
+@given(any_perms)
+def test_class_a_forbidden_matches_generic_containment(p):
+    p = list(p)
+    assert _kernels.class_a_forbidden(p) == \
+        _forbidden_by_containment(p, perms.CLASS_A_BASIS)
 
 
-@given(coeff_lists, coeff_lists, st.integers(0, 8))
-def test_series_mul_backends_agree(a, b, order):
-    assert PY.series_mul(a, b, order) == CY.series_mul(list(a), list(b),
-                                                      order)
-
-
-def test_get_backend_unknown():
-    with pytest.raises(ValueError):
-        get_backend("fortran")
-
-
-def test_no_ext_env_forces_python_backend():
-    code = ("from permclass import _kernels; print(_kernels.BACKEND)")
-    env = dict(os.environ, PERMCLASS_NO_EXT="1")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "python"
+@given(any_perms)
+def test_class_b_forbidden_matches_generic_containment(p):
+    p = list(p)
+    assert _kernels.class_b_forbidden(p) == \
+        _forbidden_by_containment(p, perms.CLASS_B_BASIS)
 
 
 def test_active_backend_exposed():
-    assert _kernels.BACKEND in ("python", "cython")
+    assert _kernels.BACKEND == "python"

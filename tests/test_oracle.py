@@ -33,6 +33,23 @@ def test_generic_fallback_matches_fast_path():
     assert other.counts == [1, 1, 2, 5, 14, 42, 132, 429]
 
 
+@pytest.mark.parametrize("basis", [CLASS_A_BASIS, CLASS_B_BASIS],
+                         ids=["class_a", "class_b"])
+def test_every_statistic_matches_filtered_avoiders(basis):
+    """The distributions tallied during generation, each child's value
+    updated from its parent's, equal the statistic evaluated on every
+    avoider found by filtering all permutations."""
+    avoiders = [oracle.filter_all_avoiders(basis, n) for n in range(8)]
+    for stat, fn in oracle.STATISTICS.items():
+        rep = oracle.statistic_distribution(basis, 7, stat)
+        for n, row in enumerate(rep.distributions[stat]):
+            want = [0] * len(row)
+            if not (n == 0 and stat == "gap_count"):
+                for p in avoiders[n]:
+                    want[fn(p)] += 1
+            assert row == want, (stat, n)
+
+
 def test_statistic_distribution_row_sums():
     rep = oracle.statistic_distribution(CLASS_A_BASIS, 7,
                                         "initial_decreasing_run")
@@ -58,6 +75,15 @@ def test_single_slice_distribution_golden():
 def test_budget_exhaustion_raises():
     with pytest.raises(oracle.BudgetExceededError):
         oracle.enumerate_avoiders(CLASS_A_BASIS, 9, node_budget=100)
+
+
+def test_budget_counts_candidate_children():
+    """The budget is spent on every candidate child, n per avoider of
+    length n - 1: sum(n * counts[n - 1], n = 1..6) = 683 for class A."""
+    rep = oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=683)
+    assert sum(n * rep.counts[n - 1] for n in range(1, 7)) == 683
+    with pytest.raises(oracle.BudgetExceededError):
+        oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=682)
 
 
 def test_budget_env_override(monkeypatch):
