@@ -106,7 +106,6 @@ def class_b_child_ok(q: list, v: int) -> bool:
     return True
 
 
-
 def class_a_forbidden(p: list) -> int:
     """The values v in 1..n+1 whose appending to ``p`` (the other
     entries relabelled) makes an occurrence of 2413 or 3412 ending at
@@ -118,7 +117,7 @@ def class_a_forbidden(p: list) -> int:
     right-to-left scan.
     """
     n = len(p)
-    left = (2 << n) - 2     # values before j
+    left = (2 << n) - 2     # values before j, once p[j] is taken out
     forbid = 0
     low = n + 1             # min(p[j+1:])
     for pj in reversed(p):
@@ -144,7 +143,7 @@ def class_b_forbidden(p: list) -> int:
     One left-to-right scan.
     """
     n = len(p)
-    later = (2 << n) - 2    # values after j
+    later = (2 << n) - 2    # values after j, once p[j] is taken out
     seen = 0                # values before j
     forbid = 0
     low = n + 1             # min(p[:j])

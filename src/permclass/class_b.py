@@ -56,7 +56,7 @@ def s_series(order: int) -> BivariateSeries:
     [[0], [1], [0, 1], [0, 1, 1]]
     """
     inv_tz = BivariateSeries.geometric_tz(order)
-    # 1/(1-tz)^2 and 1/(1-z)^2 from their closed forms, (n+1) (tz)^n
+    # 1/(1-tz)^2 = sum (n+1) (tz)^n and 1/(1-z)^2 = sum (n+1) z^n
     inv_tz2 = BivariateSeries([[0] * n + [n + 1] for n in range(order + 1)],
                               order)
     inv_z2 = UnivariateSeries([n + 1 for n in range(order + 1)], order)

@@ -165,11 +165,11 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     (rows[n] has n + 2 entries).  With ``first`` = 2 only values >= 2
     are appended after the first entry, so every avoider starts with 1.
 
-    Each parent spends n - first + 1 at child length n (n for the
-    first entry), the candidates a level-by-level search would try, so
-    the budget runs out on the same inputs.  Only children that will
-    themselves be extended are built; memory grows with n_max, not
-    with the counts.
+    A parent with children of length n spends the number of candidate
+    values, n - first + 1 (1 for the empty parent), as a level-by-level
+    search would, so the budget runs out on the same inputs.  Only
+    children that will themselves be extended are built; memory grows
+    with n_max, not with the counts.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
