@@ -25,6 +25,7 @@ from .polynomials import (MultivariatePolynomial, NotDivisibleError,
 from .series import UnivariateSeries
 
 GUESS_MARGIN_THRESHOLD = 10
+GROWTH_TOLERANCE = 0.25
 
 
 class InsufficientDataError(ValueError):
@@ -45,25 +46,24 @@ class AlgebraicGuess:
     confidence_margin: int
 
 
-def guess_min_poly(series: UnivariateSeries, dy: int, dz: int,
-                   margin_threshold: int = GUESS_MARGIN_THRESHOLD
-                   ) -> AlgebraicGuess | None:
+def guess_min_poly(series: UnivariateSeries, dy: int,
+                   dz: int) -> AlgebraicGuess | None:
     """Search for P(z,y), deg_y <= dy, deg_z <= dz, annihilating the
     series through its truncation order.
 
     Every known coefficient gives one linear equation on the (dy+1)(dz+1)
     unknown integer coefficients.  Returns None when only the zero
     polynomial fits or when the margin (equations minus unknowns) falls
-    below the threshold; raises when the series is too short to reach
-    the threshold at all.  Among solutions, one of minimal y-degree and
+    below GUESS_MARGIN_THRESHOLD; raises when the series is too short to
+    reach the threshold at all.  Among solutions, one of minimal y-degree and
     then minimal z-degree is returned in content-free canonical form.
     """
     unknowns = (dy + 1) * (dz + 1)
     rows = series.order + 1
-    if rows < unknowns + margin_threshold:
+    if rows < unknowns + GUESS_MARGIN_THRESHOLD:
         raise InsufficientDataError(
             "need at least %d series terms for degree bounds (%d, %d), "
-            "have %d" % (unknowns + margin_threshold, dy, dz, rows))
+            "have %d" % (unknowns + GUESS_MARGIN_THRESHOLD, dy, dz, rows))
     powers = [UnivariateSeries.one(series.order)]
     for _ in range(dy):
         powers.append(powers[-1] * series)
@@ -78,7 +78,7 @@ def guess_min_poly(series: UnivariateSeries, dy: int, dz: int,
         if tight is not None:
             poly, adz, ady = tight
     margin = rows - (ady + 1) * (adz + 1)
-    if margin < margin_threshold:
+    if margin < GUESS_MARGIN_THRESHOLD:
         return None
     return AlgebraicGuess(poly=poly, dy=ady, dz=adz,
                           confidence_margin=margin)
@@ -188,12 +188,12 @@ def _kgens():
 def _factor_table() -> dict[str, MultivariatePolynomial]:
     y0, y1, y2, y3, z, t = _kgens()
     return {
-        "1-t": 1 - t,
-        "1-z": 1 - z,
-        "1-2z": 1 - 2 * z,
-        "1-tz": 1 - t * z,
-        "1-(1+t)z": 1 - z - t * z,
-        "1-t+tz": 1 - t + t * z,
+        "t1": 1 - t,
+        "z1": 1 - z,
+        "z2": 1 - 2 * z,
+        "tz": 1 - t * z,
+        "pz": 1 - z - t * z,
+        "ttz": 1 - t + t * z,
     }
 
 
@@ -285,9 +285,7 @@ def kernel_extract() -> KernelDecomposition:
     one = MultivariatePolynomial.constant(_KVARS, 1)
 
     def rf(num, **den):
-        names = {"t1": "1-t", "z1": "1-z", "z2": "1-2z", "tz": "1-tz",
-                 "pz": "1-(1+t)z", "ttz": "1-t+tz"}
-        return _RationalFunction(num, {names[k]: v for k, v in den.items()})
+        return _RationalFunction(num, den)
 
     s = (rf(z, tz=1) + rf(t * z ** 3, z2=1, tz=2)
          + rf(t ** 2 * z ** 5, z1=2, tz=2, pz=1))
@@ -334,37 +332,35 @@ def _strip_spurious_factors(p: MultivariatePolynomial
     return p.primitive()
 
 
-def kernel_root_check(n_max: int,
-                      state: "class_b.ClassBState | None" = None) -> dict:
+def kernel_root_check(n_max: int, state: "class_b.ClassBState") -> dict:
     """Compute the kernel root t1(z) and verify the annihilations the
-    kernel method rests on.  Returns a report dict with the residual
-    orders; each check passes when its residual order exceeds n_max
-    (t1 itself) resp. stays within the documented truncation loss (R).
+    kernel method rests on.  Returns a report dict with the four
+    residual orders (m1, K, R and P at t1 and the class-B series), each
+    of which exceeds n_max when its check passes, and the cofactor of
+    the kernel decomposition.
     """
+    if state.order < n_max:
+        raise ValueError("state order below requested check order")
     t1 = newton_series_root(m1_poly(), Fraction(1), n_max)
     zs = UnivariateSeries.z(n_max)
     m1_res = m1_poly().eval({"z": zs, "t": t1}).valuation()
     k_res = kernel_poly().eval({"z": zs, "t": t1}).valuation()
-    report = {
+    decomp = kernel_extract()
+    f1, ft1, frecip = class_b.auxiliary_series(state)
+    assignment = {"y1": f1.truncate(n_max), "y2": ft1.truncate(n_max),
+                  "y3": frecip.truncate(n_max), "z": zs, "t": t1}
+    r_zt = decomp.R.eval_univariate({"y0": 0})
+    p_full = decomp.P.eval(
+        dict(assignment, y0=state.f.subst_t(t1).truncate(n_max)))
+    return {
         "t1": t1,
         "m1_residual_order": m1_res,
         "kernel_residual_order": k_res,
+        "r_residual_order": r_zt.eval(assignment).valuation(),
+        "p_residual_order": p_full.valuation(),
+        "cofactor": decomp.cofactor,
         "order": n_max,
     }
-    if state is not None:
-        if state.order < n_max:
-            raise ValueError("state order below requested check order")
-        decomp = kernel_extract()
-        f1, ft1, frecip = class_b.auxiliary_series(state)
-        assignment = {"y1": f1.truncate(n_max), "y2": ft1.truncate(n_max),
-                      "y3": frecip.truncate(n_max), "z": zs, "t": t1}
-        r_zt = decomp.R.eval_univariate({"y0": 0})
-        report["r_residual_order"] = r_zt.eval(assignment).valuation()
-        p_full = decomp.P.eval(
-            dict(assignment,
-                 y0=state.f.subst_t(t1).truncate(n_max)))
-        report["p_residual_order"] = p_full.valuation()
-    return report
 
 
 # ---------------------------------------------------------------------
@@ -428,12 +424,14 @@ def discriminant_in_z(minpoly: MultivariatePolynomial
 
 
 def reported_growth(minpoly: MultivariatePolynomial,
-                    counts: list[int], tolerance: float = 0.25) -> float:
-    """The reciprocal of the smallest singularity candidate consistent
-    with the numeric estimate from the counting sequence."""
+                    counts: list[int]) -> float:
+    """The reciprocal of the smallest singularity candidate within
+    GROWTH_TOLERANCE (relative) of the numeric estimate from the
+    counting sequence."""
     estimate = growth_estimate(counts, "extrapolated")
     for cand in growth_exact(minpoly):
-        if cand > 0 and abs(1.0 / cand - estimate) <= tolerance * estimate:
+        if cand > 0 and (abs(1.0 / cand - estimate)
+                         <= GROWTH_TOLERANCE * estimate):
             return 1.0 / cand
     raise ArithmeticError("no singularity candidate matches the estimate")
 
@@ -471,8 +469,9 @@ def _positive_roots(coeffs: list[Fraction]) -> list[float]:
     return [_polish(sq, r) for r in roots if r > 0]
 
 
-def _horner(coeffs: list[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
+def _horner(coeffs: list, x):
+    """The polynomial at x, exact for Fractions and float for floats."""
+    acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
@@ -482,33 +481,10 @@ def _deriv(coeffs: list[Fraction]) -> list[Fraction]:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _poly_mod(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
-        a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        a, b = b, _poly_mod(a, b)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _poly_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+def _poly_divmod(a: list[Fraction], b: list[Fraction]
+                 ) -> tuple[list[Fraction], list[Fraction]]:
+    """Quotient and remainder of a by b, the remainder without trailing
+    zeros."""
     q = [Fraction(0)] * (len(a) - len(b) + 1)
     a = a[:]
     while len(a) >= len(b) and any(a):
@@ -517,19 +493,30 @@ def _poly_div(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
         if len(a) < len(b):
             break
         f = a[-1] / b[-1]
-        q[len(a) - len(b)] = f
         shift = len(a) - len(b)
+        q[shift] = f
         for i, c in enumerate(b):
             a[shift + i] -= f * c
         a.pop()
-    return q
+    while a and a[-1] == 0:
+        a.pop()
+    return q, a
+
+
+def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
+    while b:
+        a, b = b, _poly_divmod(a, b)[1]
+    if a:
+        lead = a[-1]
+        a = [c / lead for c in a]
+    return a
 
 
 def _squarefree(coeffs: list[Fraction]) -> list[Fraction]:
     g = _poly_gcd(coeffs, _deriv(coeffs))
     if len(g) <= 1:
         return coeffs
-    return _poly_div(coeffs, g)
+    return _poly_divmod(coeffs, g)[0]
 
 
 def _roots_between(coeffs: list[Fraction], lo: Fraction,
@@ -575,15 +562,8 @@ def _polish(coeffs: list[Fraction], x: Fraction) -> float:
     df = [float(c) for c in _deriv(coeffs)]
     xf = float(x)
     for _ in range(4):
-        d = _fhorner(df, xf)
+        d = _horner(df, xf)
         if d == 0:
             break
-        xf -= _fhorner(cf, xf) / d
+        xf -= _horner(cf, xf) / d
     return xf
-
-
-def _fhorner(cf: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(cf):
-        acc = acc * x + c
-    return acc

@@ -175,12 +175,7 @@ def _load_verify_poly(args) -> MultivariatePolynomial:
         return _FIXTURES[args.fixture]()
     try:
         with open(args.poly) as fh:
-            body = fh.read()
-        header, term_list = body.split("\n", 1)
-        if not header.startswith("vars: "):
-            raise ValueError("missing 'vars:' header")
-        return MultivariatePolynomial.parse(
-            term_list, tuple(header[len("vars: "):].split()))
+            return fixtures.parse_poly_text(fh.read())
     except (OSError, ValueError, IndexError) as exc:
         raise CliError("cannot parse polynomial file: %s" % exc, 2)
 
@@ -232,23 +227,21 @@ def cmd_growth(args) -> int:
 def cmd_kernel_check(args) -> int:
     state = class_b.iterate(args.order)
     report = algebraic.kernel_root_check(args.order, state)
-    decomp = algebraic.kernel_extract()
-    ok = (report["m1_residual_order"] > args.order
-          and report["kernel_residual_order"] > args.order
-          and decomp.cofactor.total_degree() == 0)
+    residuals = {key: report[key] for key in (
+        "m1_residual_order", "kernel_residual_order", "r_residual_order",
+        "p_residual_order")}
+    cofactor = report["cofactor"]
+    ok = (all(r > args.order for r in residuals.values())
+          and cofactor.total_degree() == 0)
     payload = {"command": "kernel-check", "order": args.order,
-               "m1_residual_order": report["m1_residual_order"],
-               "kernel_residual_order": report["kernel_residual_order"],
-               "r_residual_order": report["r_residual_order"],
-               "p_residual_order": report["p_residual_order"],
-               "cofactor": decomp.cofactor.serialize(),
-               "status": "pass" if ok else "fail"}
+               "cofactor": cofactor.serialize(),
+               "status": "pass" if ok else "fail", **residuals}
     _emit(args, payload,
           ["m1(z, t1) residual order: %d" % report["m1_residual_order"],
            "K(z, t1) residual order: %d" % report["kernel_residual_order"],
            "R residual order: %d" % report["r_residual_order"],
            "P residual order: %d" % report["p_residual_order"],
-           "K cofactor: %s" % decomp.cofactor,
+           "K cofactor: %s" % cofactor,
            "kernel check: %s" % ("PASS" if ok else "FAIL")])
     return 0 if ok else EXIT_VERIFY_FAILED
 

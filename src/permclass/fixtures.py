@@ -42,11 +42,18 @@ def load_poly(name: str) -> MultivariatePolynomial:
     if actual != expected:
         raise FixtureIntegrityError(
             "checksum mismatch for %s: %s != %s" % (name, actual, expected))
-    header, term_list = body.split("\n", 1)
+    return parse_poly_text(body)
+
+
+def parse_poly_text(text: str) -> MultivariatePolynomial:
+    """Parse a polynomial file: a `vars: z y` header line, then the term
+    list of ``MultivariatePolynomial.serialize``.  Raises ValueError
+    when the text is malformed."""
+    header, term_list = text.split("\n", 1)
     if not header.startswith("vars: "):
-        raise FixtureIntegrityError("malformed fixture header in %s" % name)
-    vars = tuple(header[len("vars: "):].split())
-    return MultivariatePolynomial.parse(term_list, vars)
+        raise ValueError("missing 'vars:' header")
+    return MultivariatePolynomial.parse(term_list,
+                                        header[len("vars: "):].split())
 
 
 def eq5_min_poly() -> MultivariatePolynomial:

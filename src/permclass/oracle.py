@@ -4,24 +4,22 @@ length bound and tabulate statistic distributions.
 Avoiders are generated depth first by appending a new rightmost value
 to an avoider (the other entries relabelled); the classes are closed
 under removal of the last entry, so the search tree is exactly the
-class.  For each parent the values that may be appended are found once:
-for the two bases of interest by one scan of the parent that collects
-the forbidden values as a union of intervals (``_kernels``), for any
-other basis by checking only the occurrences that use the new entry.
-Counts and statistic rows are tallied during the walk, each child's
-statistic updated from its parent's; the last length is counted, not
-built.  Memory grows with the length bound, not with the counts.
+class.  For each parent the values that may be appended are found once,
+by one scan of the parent that collects the forbidden values as a union
+of intervals (``_kernels``); the two bases of interest are the only
+ones with such a scan.  Counts and statistic rows are tallied during the
+walk, each child's statistic updated from its parent's; the last length
+is counted, not built.  Memory grows with the length bound, not with the
+counts.
 """
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass, field
 from typing import Callable
 
 from . import _kernels, perms
-from .perms import (Basis, Perm, CLASS_A_BASIS, CLASS_B_BASIS,
-                    contains_ending_at_last)
+from .perms import Basis, Perm, CLASS_A_BASIS, CLASS_B_BASIS
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "PERMCLASS_NODE_BUDGET"
@@ -48,10 +46,8 @@ class CountReport:
     """
 
     basis: Basis
-    max_length: int
     counts: list[int]
     distributions: dict[str, list[list[int]]] = field(default_factory=dict)
-    provenance: str = "oracle"
 
     def serialize_counts(self) -> str:
         """Golden-file format: one line per length, `n <tab> count`."""
@@ -83,26 +79,12 @@ def default_budget() -> int:
     return int(value) if value else DEFAULT_NODE_BUDGET
 
 
-def _forbidden_scan(basis: Basis) -> Callable[[list], int]:
-    """The function giving, as a bit mask (bit v), the values whose
-    appending to an avoider makes an occurrence of a basis pattern: one
-    scan of the parent for the two bases of interest, the generic
-    incremental check on each candidate child otherwise."""
-    if basis == CLASS_A_BASIS:
-        return _kernels.class_a_forbidden
-    if basis == CLASS_B_BASIS:
-        return _kernels.class_b_forbidden
-    return functools.partial(_generic_forbidden, basis)
-
-
-def _generic_forbidden(basis: Basis, p: list) -> int:
-    forbid = 0
-    for v in range(1, len(p) + 2):
-        child = Perm([x + 1 if x >= v else x for x in p] + [v])
-        if any(contains_ending_at_last(child, sigma)
-               for sigma in basis.patterns):
-            forbid |= 1 << v
-    return forbid
+# The scan giving, as a bit mask (bit v), the values whose appending to
+# an avoider makes an occurrence of a basis pattern.
+_FORBIDDEN_SCANS: dict[Basis, Callable[[list], int]] = {
+    CLASS_A_BASIS: _kernels.class_a_forbidden,
+    CLASS_B_BASIS: _kernels.class_b_forbidden,
+}
 
 
 # For each entry of STATISTICS: the statistic of the child p+v (p
@@ -173,8 +155,10 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    if basis not in _FORBIDDEN_SCANS:
+        raise ValueError("no forbidden-value scan for basis %s" % basis)
     budget = _Budget(node_budget)
-    forbidden = _forbidden_scan(basis)
+    forbidden = _FORBIDDEN_SCANS[basis]
     counts = [1] + [0] * n_max
     rows = [[0] * (n + 2) for n in range(n_max + 1)]
     rows[0][0] = 1
@@ -219,7 +203,7 @@ def enumerate_avoiders(b: Basis, n_max: int,
     [1, 1, 2, 6, 22]
     """
     counts, _rows = _walk(b, n_max, node_budget)
-    return CountReport(basis=b, max_length=n_max, counts=counts)
+    return CountReport(basis=b, counts=counts)
 
 
 def statistic_distribution(b: Basis, n_max: int, stat: str,
@@ -232,8 +216,7 @@ def statistic_distribution(b: Basis, n_max: int, stat: str,
     counts, rows = _walk(b, n_max, node_budget, _STEPS[stat])
     if stat == "gap_count":
         rows[0][0] = 0  # gap count is undefined on the empty permutation
-    return CountReport(basis=b, max_length=n_max, counts=counts,
-                       distributions={stat: rows})
+    return CountReport(basis=b, counts=counts, distributions={stat: rows})
 
 
 def single_slice_distribution(b: Basis, n_max: int,
@@ -246,7 +229,7 @@ def single_slice_distribution(b: Basis, n_max: int,
                          first=2)
     counts[0] = 0
     matrix = [[0]] + [row[:n + 1] for n, row in enumerate(rows) if n]
-    return CountReport(basis=b, max_length=n_max, counts=counts,
+    return CountReport(basis=b, counts=counts,
                        distributions={"marked_trailing_run": matrix})
 
 

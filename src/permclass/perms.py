@@ -199,16 +199,6 @@ def avoids_basis(p: Perm, b: Basis) -> bool:
     return not any(contains(p, sigma) for sigma in b.patterns)
 
 
-def direct_sum(p: Perm, q: Perm) -> Perm:
-    """Stack ``q`` above and to the right of ``p``.
-
-    >>> direct_sum(parse_perm("12"), parse_perm("21"))
-    Perm('1243')
-    """
-    k = len(p)
-    return Perm(p.entries + tuple(v + k for v in q))
-
-
 def skew_sum(p: Perm, q: Perm) -> Perm:
     """Stack ``q`` below and to the right of ``p``.
 
@@ -244,10 +234,6 @@ def skew_components(p: Perm) -> list[Perm]:
             start = i + 1
             min_seen = n + 1
     return parts
-
-
-def is_skew_indecomposable(p: Perm) -> bool:
-    return len(skew_components(p)) == 1
 
 
 def initial_decreasing_run(p: Perm) -> int:
@@ -313,19 +299,6 @@ def marked_trailing_run(p: Perm) -> int:
     return r
 
 
-@dataclass(frozen=True)
-class SliceDecomposition:
-    """Positions (1-based) grouped into bands between left-to-right
-    minima: slice k holds the entries >= the k-th minimum and < the
-    (k-1)-th.
-    """
-
-    slices: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.slices)
-
-
 def left_to_right_minima(p: Perm) -> list[int]:
     """Positions (1-based) of the left-to-right minima."""
     out = []
@@ -335,25 +308,6 @@ def left_to_right_minima(p: Perm) -> list[int]:
             cur = v
             out.append(i + 1)
     return out
-
-
-def slices(p: Perm) -> SliceDecomposition:
-    """Partition the positions of ``p`` into slices.
-
-    >>> len(slices(parse_perm("11,14,6,7,10,8,12,2,5,3,9,4,13,1")))
-    4
-    """
-    minima = left_to_right_minima(p)
-    bounds = [p[i - 1] for i in minima]  # decreasing values
-    groups: list[list[int]] = [[] for _ in minima]
-    for i, v in enumerate(p):
-        # band index: the last minimum value that is <= v
-        k = 0
-        for j, mv in enumerate(bounds):
-            if v >= mv:
-                k = j
-        groups[k].append(i + 1)
-    return SliceDecomposition(tuple(tuple(g) for g in groups))
 
 
 def slice_count(p: Perm) -> int:

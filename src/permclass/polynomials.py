@@ -210,13 +210,6 @@ class MultivariatePolynomial:
                     rem.pop(e, None)
         return MultivariatePolynomial(self.vars, q)
 
-    def divides(self, other: "MultivariatePolynomial") -> bool:
-        try:
-            other.exact_div(self)
-            return True
-        except NotDivisibleError:
-            return False
-
     def derivative(self, name: str) -> "MultivariatePolynomial":
         i = self.vars.index(name)
         terms = {}
@@ -285,6 +278,11 @@ class MultivariatePolynomial:
 
     # -- text form ------------------------------------------------------
 
+    def _monomial(self, e: tuple[int, ...]) -> str:
+        """The monomial with exponents e, as in `z*y^2`; "" for 1."""
+        return "*".join(v if k == 1 else "%s^%d" % (v, k)
+                        for v, k in zip(self.vars, e) if k)
+
     def serialize(self) -> str:
         """Term list `coef:monomial`, lex-descending, space separated.
 
@@ -294,17 +292,8 @@ class MultivariatePolynomial:
         """
         if not self.terms:
             return "0:1"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            factors = []
-            for v, k in zip(self.vars, e):
-                if k == 1:
-                    factors.append(v)
-                elif k:
-                    factors.append("%s^%d" % (v, k))
-            mono = "*".join(factors) if factors else "1"
-            parts.append("%d:%s" % (self.terms[e], mono))
-        return " ".join(parts)
+        return " ".join("%d:%s" % (self.terms[e], self._monomial(e) or "1")
+                        for e in sorted(self.terms, reverse=True))
 
     @classmethod
     def parse(cls, text: str, vars: Iterable[str]) -> "MultivariatePolynomial":
@@ -330,13 +319,7 @@ class MultivariatePolynomial:
         parts = []
         for e in sorted(self.terms, reverse=True):
             c = self.terms[e]
-            factors = []
-            for v, k in zip(self.vars, e):
-                if k == 1:
-                    factors.append(v)
-                elif k:
-                    factors.append("%s^%d" % (v, k))
-            mono = "*".join(factors)
+            mono = self._monomial(e)
             if not mono:
                 body = str(abs(c))
             elif abs(c) == 1:

@@ -159,22 +159,6 @@ class UnivariateSeries:
         return "UnivariateSeries([%s%s], order=%d)" % (
             head, ", ..." if self.order > 5 else "", self.order)
 
-    # -- text format -------------------------------------------------
-
-    def serialize(self) -> str:
-        """One line per z-order holding the rational coefficient."""
-        return "\n".join(str(Fraction(x)) for x in self.c) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "UnivariateSeries":
-        rows = [Fraction(line.strip()) for line in text.splitlines()
-                if line.strip()]
-        return cls([_intify(x) for x in rows], len(rows) - 1)
-
-
-def _intify(x: Fraction) -> Coeff:
-    return int(x) if x.denominator == 1 else x
-
 
 def _tpoly_trim(p: list) -> list:
     while len(p) > 1 and not p[-1]:
@@ -387,9 +371,6 @@ class BivariateSeries:
         row = self.c[n]
         return row[k] if k < len(row) else 0
 
-    def tpoly(self, n: int) -> list:
-        return list(self.c[n])
-
     def truncate(self, order: int) -> "BivariateSeries":
         if order > self.order:
             raise SeriesError("cannot extend truncation order")
@@ -416,33 +397,6 @@ class BivariateSeries:
 
     def __repr__(self):
         return "BivariateSeries(order=%d)" % self.order
-
-    # -- text format -------------------------------------------------
-
-    def serialize(self) -> str:
-        """One line per z-order: coefficients of t^0..t^deg separated by
-        spaces."""
-        return "\n".join(" ".join(str(Fraction(x)) for x in r)
-                         for r in self.c) + "\n"
-
-    @classmethod
-    def parse(cls, text: str) -> "BivariateSeries":
-        rows = []
-        for line in text.splitlines():
-            line = line.strip()
-            if line:
-                rows.append([_intify(Fraction(tok)) for tok in line.split()])
-        return cls(rows, len(rows) - 1)
-
-
-def expand_ratio(numer: BivariateSeries,
-                 denom_factors: Sequence[BivariateSeries]) -> BivariateSeries:
-    """Expand numer / prod(denom_factors) as a series; every denominator
-    factor must have a constant unit z^0 coefficient."""
-    out = numer
-    for d in denom_factors:
-        out = out * d.inverse()
-    return out
 
 
 def check_counting(*series: BivariateSeries) -> None:

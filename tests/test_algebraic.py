@@ -88,8 +88,8 @@ def test_kernel_root_check_small():
     report = algebraic.kernel_root_check(20, st)
     assert report["m1_residual_order"] > 20
     assert report["kernel_residual_order"] > 20
-    assert report["r_residual_order"] > 18
-    assert report["p_residual_order"] > 18
+    assert report["r_residual_order"] > 20
+    assert report["p_residual_order"] > 20
 
 
 def test_growth_estimate_geometric():

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from permclass import class_a, cli
+from permclass import class_a, class_b, cli, oracle, perms
 from permclass.series import ConsistencyError
 
 from conftest import golden_text
@@ -60,7 +60,15 @@ def test_count_budget_exhaustion_exit_code(capsys):
     assert "budget" in err
 
 
-def test_distribution_csv_matches_golden(capsys):
+def test_distribution_csv_matches_golden(capsys, monkeypatch,
+                                        oracle_distributions_10):
+    """The CLI's CSV of the oracle report equals the golden file; the
+    report is the session fixture's, not a second oracle run."""
+    def shared(b, n_max, stat, node_budget=None):
+        assert (b, n_max, stat) == (
+            perms.CLASS_B_BASIS, 10, "marked_trailing_run")
+        return oracle_distributions_10["class_b"]
+    monkeypatch.setattr(oracle, "statistic_distribution", shared)
     code, out, _ = run_cli(capsys, "distribution", "--class", "class_b",
                            "--n", "10", "--stat", "marked_trailing_run",
                            "--format", "csv")
@@ -142,6 +150,21 @@ def test_kernel_check(capsys):
     code, out, _ = run_cli(capsys, "kernel-check", "--order", "15")
     assert code == 0
     assert "PASS" in out
+
+
+def test_kernel_check_fails_on_wrong_class_b_row(capsys, monkeypatch):
+    """A wrong f row leaves m1 and K at t1 intact; the R and P residuals
+    must fail the check."""
+    iterate = class_b.iterate
+
+    def corrupted(n_max):
+        state = iterate(n_max)
+        state.f.c[12][0] += 1
+        return state
+    monkeypatch.setattr(class_b, "iterate", corrupted)
+    code, out, _ = run_cli(capsys, "kernel-check", "--order", "20")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert out.splitlines()[-1] == "kernel check: FAIL"
 
 
 @pytest.mark.parametrize("argv", [

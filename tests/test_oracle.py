@@ -20,17 +20,9 @@ def test_counts_match_golden_files(oracle_counts_11):
         assert rep.serialize_counts() == golden_text(name + "_counts.tsv")
 
 
-def test_generic_fallback_matches_fast_path():
-    """A basis without a specialized kernel goes through the generic
-    incremental check; on the known bases both paths must agree."""
-    rep_fast = oracle.enumerate_avoiders(CLASS_A_BASIS, 6)
-    basis = Basis([parse_perm("2413"), parse_perm("3412")])
-    generic = [p for n in range(7)
-               for p in oracle.filter_all_avoiders(basis, n)]
-    assert sum(rep_fast.counts) == len(generic)
-    other = oracle.enumerate_avoiders(Basis([parse_perm("123")]), 7)
-    # Av(123) is counted by the Catalan numbers
-    assert other.counts == [1, 1, 2, 5, 14, 42, 132, 429]
+def test_basis_without_scan_rejected():
+    with pytest.raises(ValueError):
+        oracle.enumerate_avoiders(Basis([parse_perm("123")]), 7)
 
 
 @pytest.mark.parametrize("basis", [CLASS_A_BASIS, CLASS_B_BASIS],
