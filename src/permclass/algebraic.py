@@ -58,6 +58,9 @@ def guess_min_poly(series: UnivariateSeries, dy: int,
     reach the threshold at all.  Among solutions, one of minimal y-degree and
     then minimal z-degree is returned in content-free canonical form.
     """
+    if dy < 0 or dz < 0:
+        raise ValueError("degree bounds must be >= 0, got dy=%d, dz=%d"
+                         % (dy, dz))
     unknowns = (dy + 1) * (dz + 1)
     rows = series.order + 1
     if rows < unknowns + GUESS_MARGIN_THRESHOLD:

@@ -168,16 +168,26 @@ def cmd_guess(args) -> int:
 
 
 def _load_verify_poly(args) -> MultivariatePolynomial:
+    """The polynomial to verify: nonzero, in variables among z and y
+    (zero annihilates every series, so it would always pass)."""
     if args.fixture:
         if args.fixture not in _FIXTURES:
             raise CliError("unknown fixture %r (choose from %s)"
                            % (args.fixture, ", ".join(sorted(_FIXTURES))), 2)
-        return _FIXTURES[args.fixture]()
-    try:
-        with open(args.poly) as fh:
-            return fixtures.parse_poly_text(fh.read())
-    except (OSError, ValueError, IndexError) as exc:
-        raise CliError("cannot parse polynomial file: %s" % exc, 2)
+        poly = _FIXTURES[args.fixture]()
+    else:
+        try:
+            with open(args.poly) as fh:
+                poly = fixtures.parse_poly_text(fh.read())
+        except (OSError, ValueError, IndexError) as exc:
+            raise CliError("cannot parse polynomial file: %s" % exc, 2)
+    foreign = [v for v in poly.vars if v not in ("z", "y")]
+    if foreign:
+        raise CliError("polynomial variables must be among z and y, got %s"
+                       % ", ".join(foreign), 2)
+    if poly.is_zero():
+        raise CliError("the zero polynomial annihilates every series", 2)
+    return poly
 
 
 def cmd_verify(args) -> int:

@@ -128,6 +128,8 @@ class _Budget:
 
     def __init__(self, budget: int | None):
         self.left = budget if budget is not None else default_budget()
+        if self.left < 0:
+            raise ValueError("node budget must be >= 0, got %d" % self.left)
 
     def spend(self, amount: int) -> None:
         self.left -= amount

@@ -402,11 +402,16 @@ def newton_series_root(p: MultivariatePolynomial, t0: Fraction,
 
     Quadratic Newton iteration with order doubling.  Raises
     RamificationError when p_t(0, t0) = 0 (the branch would need
-    fractional exponents, which this series type cannot hold).
+    fractional exponents, which this series type cannot hold).  An
+    integral t0 is kept as an int, so when p has integer coefficients
+    and p_t(0, t0) = +-1 every coefficient of the root is an int;
+    otherwise they are exact Fractions.
     """
     if set(p.vars) != {"z", "t"}:
         raise ValueError("polynomial must be in variables z and t")
     t0 = Fraction(t0)
+    if t0.denominator == 1:
+        t0 = t0.numerator
     if p.eval({"z": 0, "t": t0}) != 0:
         raise ValueError("t0 is not a root of p(0, t)")
     dp = p.derivative("t")

@@ -338,7 +338,13 @@ class BivariateSeries:
 
     def subst_t(self, value) -> UnivariateSeries:
         """Substitute for t either the constant 1 or a univariate series
-        with nonzero constant term; exact, no truncation loss."""
+        with nonzero constant term; exact, no truncation loss.
+
+        For a series, f = sum_j t^j C_j(z) with C_j the t^j column of
+        rows 0..n, n the smaller order, and Horner runs over the columns:
+        out = C_d, then out = out * value + C_j for j = d-1..0, so the
+        substitution costs deg_t f products of length n.
+        """
         if value == 1:
             return UnivariateSeries([sum(r) for r in self.c], self.order)
         if not isinstance(value, UnivariateSeries):
@@ -347,14 +353,16 @@ class BivariateSeries:
             raise SeriesError("subst_t series target needs nonzero "
                               "constant term")
         n = min(self.order, value.order)
-        out = UnivariateSeries.zero(n)
-        for m in range(n + 1):
-            row = self.c[m]
-            # Horner in t over the series ring
-            pv = UnivariateSeries([row[-1]], n)
-            for j in range(len(row) - 2, -1, -1):
-                pv = pv * value + row[j]
-            out = out + pv.shift(m)
+        rows = self.c[:n + 1]
+
+        def column(j: int) -> UnivariateSeries:
+            return UnivariateSeries([r[j] if j < len(r) else 0
+                                     for r in rows], n)
+
+        d = max(len(r) for r in rows) - 1
+        out = column(d)
+        for j in range(d - 1, -1, -1):
+            out = out * value + column(j)
         return out
 
     def deriv_t_at_1(self) -> UnivariateSeries:

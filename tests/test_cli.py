@@ -124,6 +124,30 @@ def test_verify_unparseable_file_distinct_code(tmp_path, capsys):
     assert "cannot parse" in err
 
 
+@pytest.mark.parametrize("body", ["0:1\n", "", "1:z -1:z\n"],
+                         ids=["zero_term", "no_terms", "cancelling"])
+def test_verify_zero_polynomial_rejected(tmp_path, capsys, body):
+    zero = tmp_path / "zero.txt"
+    zero.write_text("vars: z y\n" + body)
+    code, out, err = run_cli(capsys, "verify", "--class", "class_a",
+                             "--poly", str(zero), "--order", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "zero polynomial" in err
+
+
+def test_verify_foreign_variables_rejected(tmp_path, capsys):
+    bad = tmp_path / "xy.txt"
+    bad.write_text("vars: x y\n1:x*y\n")
+    code, out, err = run_cli(capsys, "verify", "--class", "class_a",
+                             "--poly", str(bad), "--order", "20")
+    assert code == 2
+    assert out == ""
+    assert err == "error: polynomial variables must be among z and y, " \
+        "got x\n"
+
+
 def test_verify_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "verify", "--class", "class_a",
                            "--fixture", "nope", "--order", "10")
@@ -152,6 +176,26 @@ def test_kernel_check(capsys):
     assert "PASS" in out
 
 
+def test_kernel_check_order_40_exact_output(capsys):
+    code, out, err = run_cli(capsys, "kernel-check", "--order", "40")
+    assert (code, err) == (0, "")
+    assert out == ("m1(z, t1) residual order: 41\n"
+                   "K(z, t1) residual order: 41\n"
+                   "R residual order: 41\n"
+                   "P residual order: 41\n"
+                   "K cofactor: 1\n"
+                   "kernel check: PASS\n")
+    code, out, err = run_cli(capsys, "kernel-check", "--order", "40",
+                             "--format", "json")
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert {key: payload[key] for key in (
+        "m1_residual_order", "kernel_residual_order", "r_residual_order",
+        "p_residual_order", "status")} == {
+        "m1_residual_order": 41, "kernel_residual_order": 41,
+        "r_residual_order": 41, "p_residual_order": 41, "status": "pass"}
+
+
 def test_kernel_check_fails_on_wrong_class_b_row(capsys, monkeypatch):
     """A wrong f row leaves m1 and K at t1 intact; the R and P residuals
     must fail the check."""
@@ -174,8 +218,14 @@ def test_kernel_check_fails_on_wrong_class_b_row(capsys, monkeypatch):
     ("distribution", "--class", "class_a", "--n", "-1"),
     ("verify", "--class", "class_a", "--fixture", "eq5", "--order", "-3"),
     ("growth", "--class", "class_a", "--terms", "5"),
+    ("guess", "--class", "class_a", "--terms", "20", "--dy", "-1",
+     "--dz", "2"),
+    ("guess", "--class", "class_a", "--terms", "20", "--dy", "1",
+     "--dz", "-2"),
+    ("count", "--class", "class_a", "--n", "5", "--method", "oracle",
+     "--node-budget", "-3"),
 ], ids=["count_fe", "count_oracle", "distribution", "verify_order",
-        "growth_terms"])
+        "growth_terms", "guess_dy", "guess_dz", "count_node_budget"])
 def test_out_of_range_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

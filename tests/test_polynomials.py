@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from permclass.algebraic import m1_poly
 from permclass.polynomials import (MultivariatePolynomial,
                                    NotDivisibleError, RamificationError,
                                    newton_series_root, resultant)
@@ -103,6 +104,26 @@ def test_newton_sqrt_one_plus_z():
                           Fraction(1, 16)]
     residual = p.eval({"z": UnivariateSeries.z(16), "t": root})
     assert residual.valuation() == 17
+
+
+# t1(z) of the class-B kernel to order 40, as the Newton iteration gave
+# it when it ran in Fractions (every denominator 1)
+KERNEL_ROOT_T1 = [
+    1, 0, -1, -2, -2, 1, 9, 20, 20, -24, -150, -327, -293, 599, 3097,
+    6452, 4854, -15878, -71252, -140112, -81328, 437346, 1746254, 3214989,
+    1223971, -12345295, -44552833, -76242173, -11292089, 354175849,
+    1167638037, 1842585992, -233903034, -10273377388, -31169512310,
+    -44916262506, 20666940330, 300249982156, 842620298312, 1094651876068,
+    -959993556112]
+
+
+def test_newton_integral_start_stays_in_ints():
+    """p_t(0, 1) = -1 for m1, so an integral start gives an int root."""
+    root = newton_series_root(m1_poly(), Fraction(1), 40)
+    assert all(type(x) is int for x in root.c)
+    assert root.c == KERNEL_ROOT_T1
+    residual = m1_poly().eval({"z": UnivariateSeries.z(40), "t": root})
+    assert residual.valuation() == 41
 
 
 def test_newton_rejects_ramified_branch():

@@ -1,6 +1,8 @@
 
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from permclass.series import (BivariateSeries, OnlineQuotient, SeriesError,
                               UnivariateSeries, row_product)
@@ -141,6 +143,45 @@ def test_subst_t_one_and_series():
     assert sub.c == [1, 2, 1 + 2 + 3]
     with pytest.raises(SeriesError):
         f.subst_t(UnivariateSeries.z(2))
+
+
+exact = st.one_of(st.integers(min_value=-9, max_value=9),
+                  st.fractions(min_value=-4, max_value=4, max_denominator=6))
+# rows of any t-degree (also above their z-power), trailing zeros allowed
+exact_rows = st.lists(st.lists(exact, min_size=1, max_size=9), min_size=1,
+                      max_size=7)
+targets = st.tuples(exact.filter(lambda x: x != 0),
+                    st.lists(exact, max_size=7))
+
+
+def subst_t_per_row(rows, order, value, value_order):
+    """sum_m z^m row_m(value) to order min(order, value_order), with
+    Horner in t on each row over plain truncated coefficient lists."""
+    n = min(order, value_order)
+    rows = (rows + [[0]] * (n + 1))[:n + 1]
+    v = (value + [0] * (n + 1))[:n + 1]
+    out = [0] * (n + 1)
+    for m, row in enumerate(rows):
+        pv = [row[-1]] + [0] * n
+        for x in reversed(row[:-1]):
+            pv = [sum(pv[i] * v[k - i] for i in range(k + 1))
+                  for k in range(n + 1)]
+            pv[0] += x
+        for k in range(n + 1 - m):
+            out[m + k] += pv[k]
+    return out
+
+
+@given(exact_rows, st.integers(min_value=0, max_value=7), targets,
+       st.integers(min_value=0, max_value=7))
+@example(rows=[[0, 0, 1], [Fraction(1, 2), 0, 0, 0]], order=3,
+         target=(3, [-1]), value_order=2)
+def test_subst_t_matches_per_row_horner(rows, order, target, value_order):
+    value = [target[0]] + target[1]
+    got = BivariateSeries(rows, order).subst_t(
+        UnivariateSeries(value, value_order))
+    assert got.order == min(order, value_order)
+    assert got.c == subst_t_per_row(rows, order, value, value_order)
 
 
 def test_deriv_t_at_1():
