@@ -20,27 +20,26 @@ with the linear monomial operators
 Every image strictly raises z-order: row n (the z^n coefficient) of the
 right-hand side needs only rows below n of f.  ``iterate`` therefore
 computes the rows online, each row of every intermediate once.  The
-column sums behind Phi, Theta and Psi act within a row, and the Psi,
-Lambda and Xi prefactors have linear denominators, which act as
-one-row recurrences; only Phi's product with s costs more, about n^3/6
-coefficient products for row n, so order N costs about N^4/24 in all.
+column sums behind Phi, Theta and Psi act within a row, and s and the
+Psi, Lambda and Xi prefactors have only linear denominators, which act
+as one-row recurrences.  Row n takes a fixed number of products of a
+row with a linear factor c(t), O(n) coefficient operations, so order N
+costs about N^2 in all: the iteration forms no bivariate product.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .series import (BivariateSeries, OnlineQuotient, UnivariateSeries,
-                     check_counting, row_product, tpoly_sum)
+                     check_counting, tpoly_sum)
 
 
 @dataclass(frozen=True)
 class ClassBState:
-    """f computed exactly to the truncation order, together with the
-    materialized single-slice series."""
+    """f computed exactly to the truncation order."""
 
     order: int
     f: BivariateSeries
-    s: BivariateSeries
 
 
 def s_series(order: int) -> BivariateSeries:
@@ -149,16 +148,20 @@ def iterate(n_max: int) -> ClassBState:
     prefactor times B and of tz/(1-tz) times sum_i t^i H_i, where A
     holds the column suffix sums of f, B those of Theta[f] from t^1
     on, and H the Xi chain over Lambda[f] = z/(1-2z) Theta[f].  Each
-    needs rows of f below n only.
+    needs rows of f below n only.  The three terms of s divide A by
+    linear factors only, so s * A, like the other two, comes from
+    one-row recurrences: O(n) coefficient operations for row n.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
     """
     if n_max < 0:
         raise ValueError("order must be >= 0, got %d" % n_max)
-    s = s_series(n_max)
-    s_z = s.c[1:]                 # s/z: s has no z^0 term
-    f, a = [], []
+    # s * A = z q1 + t z^3 q2 + t^2 z^5 q3, term by term as in s_series
+    q1 = OnlineQuotient([0, 1])
+    q2 = OnlineQuotient([2], [0, 1], [0, 1])
+    q3 = OnlineQuotient([1], [1], [0, 1], [0, 1], [1, 1])
+    f = []
     # B / ((1-z)^2 (1-tz) (1-(1+t)z)), which is Psi[Theta[f]] / (t^2 z^4)
     psi = OnlineQuotient([1], [1], [0, 1], [1, 1])
     lam = OnlineQuotient([2])     # Theta[f] / (1-2z) = Lambda[f] / z
@@ -169,16 +172,20 @@ def iterate(n_max: int) -> ClassBState:
         if n == 0:
             row = [1]
         else:
-            row = tpoly_sum(row_product(s_z, a, n - 1),
+            row = tpoly_sum(q1.rows[n - 1],
+                            ([0] + q2.rows[n - 3]) if n >= 3 else [0],
+                            ([0, 0] + q3.rows[n - 5]) if n >= 5 else [0],
                             ([0, 0] + psi.rows[n - 4]) if n >= 4 else [0],
                             [0] + xi.rows[n - 1])
         f.append(row)
-        a.append(_suffix_sums_row(row))
-        psi.push(_suffix_sums_row(a[n][1:]))   # row n of B
+        a = _suffix_sums_row(row)               # row n of A
+        for quotient in (q1, q2, q3):
+            quotient.push(a)
+        psi.push(_suffix_sums_row(a[1:]))       # row n of B
         # row n of Theta[f] gives row n+1 of Lambda[f], hence of H
-        theta = [0] + a[n][1:]
+        theta = [0] + a[1:]
         xi.push(_xi_chain_row(lam.push(theta), q))
-    state = ClassBState(order=n_max, f=BivariateSeries(f, n_max), s=s)
+    state = ClassBState(order=n_max, f=BivariateSeries(f, n_max))
     check_counting(state.f)
     return state
 
@@ -222,19 +229,9 @@ def equation_residuals(state: ClassBState) -> int:
     whole-series operators (order+1 means the state satisfies the
     equation through the truncation)."""
     f = state.f
-    rhs = 1 + phi_apply(f, state.s) + psi_apply(theta_apply(f)) \
-        + xi_apply(lambda_apply(f))
+    rhs = 1 + phi_apply(f, s_series(state.order)) \
+        + psi_apply(theta_apply(f)) + xi_apply(lambda_apply(f))
     return (f - rhs).valuation()
-
-
-def case_decomposition(state: ClassBState
-                       ) -> tuple[BivariateSeries, BivariateSeries,
-                                  BivariateSeries]:
-    """The three slice-addition case series (g_a, g_b, g_c) with
-    f = 1 + g_a + g_b + g_c."""
-    f, s = state.f, state.s
-    return (phi_apply(f, s), psi_apply(theta_apply(f)),
-            xi_apply(lambda_apply(f)))
 
 
 def auxiliary_series(state: ClassBState

@@ -168,8 +168,10 @@ def cmd_guess(args) -> int:
 
 
 def _load_verify_poly(args) -> MultivariatePolynomial:
-    """The polynomial to verify: nonzero, in variables among z and y
-    (zero annihilates every series, so it would always pass)."""
+    """The polynomial to verify: nonzero, in variables among z and y,
+    with a term in y and a term of z-degree at most the order.  Zero, or
+    terms all beyond the order, pass for every series; a nonzero
+    polynomial without y annihilates none."""
     if args.fixture:
         if args.fixture not in _FIXTURES:
             raise CliError("unknown fixture %r (choose from %s)"
@@ -187,6 +189,13 @@ def _load_verify_poly(args) -> MultivariatePolynomial:
                        % ", ".join(foreign), 2)
     if poly.is_zero():
         raise CliError("the zero polynomial annihilates every series", 2)
+    exponents = [dict(zip(poly.vars, e)) for e in poly.terms]
+    if not any(e.get("y", 0) for e in exponents):
+        raise CliError("the polynomial has no term in y, so no series "
+                       "is its root", 2)
+    if 0 <= args.order < min(e.get("z", 0) for e in exponents):
+        raise CliError("every term has z-degree above the order %d, so "
+                       "nothing is checked" % args.order, 2)
     return poly
 
 

@@ -27,16 +27,6 @@ def test_equation_residuals(state_a60):
     assert res3 > state_a60.order
 
 
-def test_bivariate_matches_oracle_distribution():
-    st = class_a.iterate(8)
-    rep = oracle.statistic_distribution(perms.CLASS_A_BASIS, 8,
-                                        "initial_decreasing_run")
-    for n in range(9):
-        row = rep.distributions["initial_decreasing_run"][n]
-        for k in range(n + 1):
-            assert st.f.coefficient(n, k) == (row[k] if k < len(row) else 0)
-
-
 def test_fskew_counts_skew_indecomposables():
     """fskew(z,1) counts the skew-indecomposable avoiders of length at
     least 2, checked against the oracle's explicit permutations."""

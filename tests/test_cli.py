@@ -52,6 +52,24 @@ def test_count_fe_only_40_terms_ends_with_golden(capsys):
         "class_a_fe_counts_40.tsv").strip().splitlines()[-1]
 
 
+def test_count_mismatch_exit_code(capsys, monkeypatch):
+    counts = class_b.counts
+
+    def off_by_one(state):
+        got = counts(state)
+        got[4] += 1
+        return got
+    monkeypatch.setattr(class_b, "counts", off_by_one)
+    code, out, _ = run_cli(capsys, "count", "--class", "class_b",
+                           "--n", "6", "--method", "both")
+    assert code == cli.EXIT_MISMATCH
+    assert out.splitlines()[4] == "4\t22\t23\tMISMATCH"
+    code, out, _ = run_cli(capsys, "count", "--class", "class_b",
+                           "--n", "6", "--method", "both", "--format", "json")
+    assert code == cli.EXIT_MISMATCH
+    assert json.loads(out)["status"] == "mismatch"
+
+
 def test_count_budget_exhaustion_exit_code(capsys):
     code, _, err = run_cli(capsys, "count", "--class", "class_a",
                            "--n", "9", "--method", "oracle",
@@ -98,6 +116,15 @@ def test_verify_fixture_pass(capsys):
     assert "PASS" in out
 
 
+def test_verify_degree8_far_beyond_goldens(capsys):
+    """Class B's f(z,1) to order 200 against the bundled degree-8
+    polynomial, which the iteration does not use."""
+    code, out, _ = run_cli(capsys, "verify", "--class", "class_b",
+                           "--fixture", "degree8", "--order", "200")
+    assert code == 0
+    assert out.splitlines()[-1] == "verification: PASS"
+
+
 def test_verify_fixture_eq6_series_option(capsys):
     code, out, _ = run_cli(capsys, "verify", "--class", "class_a",
                            "--fixture", "eq6", "--order", "25",
@@ -135,6 +162,22 @@ def test_verify_zero_polynomial_rejected(tmp_path, capsys, body):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "zero polynomial" in err
+
+
+@pytest.mark.parametrize("body, reason", [
+    ("1:z^50\n", "no term in y"),
+    ("1:z^50*y\n", "z-degree above the order 20"),
+], ids=["no_y", "beyond_order"])
+def test_verify_vacuous_polynomial_rejected(tmp_path, capsys, body, reason):
+    """p(z, f) truncated to the order is zero for any f: no check."""
+    poly = tmp_path / "vacuous.txt"
+    poly.write_text("vars: z y\n" + body)
+    code, out, err = run_cli(capsys, "verify", "--class", "class_a",
+                             "--poly", str(poly), "--order", "20")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert reason in err
 
 
 def test_verify_foreign_variables_rejected(tmp_path, capsys):

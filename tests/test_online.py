@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from permclass import class_a, class_b
 
+from conftest import STATISTICS
+
 CLASSES = [class_a, class_b]
 
 
@@ -19,7 +21,7 @@ def states_40():
 @given(n=st.integers(min_value=0, max_value=25))
 def test_iterate_is_a_prefix_of_a_deeper_iterate(mod, states_40, n):
     """Every series of the state at order n is the order-40 one
-    truncated, so nothing the iteration builds once at order n (s, the
+    truncated, so nothing the iteration builds once at order n (the
     prefactor recurrences) depends on n beyond the truncation."""
     deep, state = states_40[mod.__name__], mod.iterate(n)
     assert state.order == n
@@ -27,6 +29,24 @@ def test_iterate_is_a_prefix_of_a_deeper_iterate(mod, states_40, n):
         if field.name != "order":
             assert getattr(state, field.name) == \
                 getattr(deep, field.name).truncate(n)
+
+
+@pytest.mark.parametrize("mod", CLASSES, ids=["class_a", "class_b"])
+@settings(deadline=None)
+@given(n=st.integers(min_value=0, max_value=10))
+def test_bivariate_rows_match_oracle_distribution(
+        mod, oracle_distributions_10, n):
+    """Every coefficient of f to order n equals the oracle's count of
+    avoiders of that length with that value of the tracked statistic;
+    small n reach the rows before each recurrence starts."""
+    name = mod.__name__.rpartition(".")[2]
+    oracle_rows = oracle_distributions_10[name].distributions[
+        STATISTICS[name]]
+    f = mod.iterate(n).f
+    for m in range(n + 1):
+        width = max(len(f.c[m]), len(oracle_rows[m]))
+        assert [f.coefficient(m, k) for k in range(width)] == \
+            oracle_rows[m] + [0] * (width - len(oracle_rows[m]))
 
 
 @pytest.mark.parametrize("mod", CLASSES, ids=["class_a", "class_b"])
