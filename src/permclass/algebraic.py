@@ -3,7 +3,9 @@
 Four groups of tools:
 
 * conjecture a minimal polynomial for a power series from its initial
-  terms (exact nullspace of the linear system in the coefficients);
+  terms (the first kernel vector of the linear system in the
+  coefficients, by elimination mod p, CRT, rational reconstruction and
+  an exact check over Z);
 * verify that a polynomial annihilates given series to full order;
 * extract the kernel of the slice recursion for Av(1432,2143): clear
   the functional equation over its common denominator, collect the
@@ -26,11 +28,25 @@ from .series import UnivariateSeries
 
 GUESS_MARGIN_THRESHOLD = 10
 GROWTH_TOLERANCE = 0.25
+# the 62-bit primes 2^62 - d for guessing by elimination mod p, tried in
+# order; MAX_PRIMES caps how many one guess may use
+_PRIMES = tuple((1 << 62) - d for d in (57, 87, 117, 143, 153, 167, 171, 195))
+MAX_PRIMES = len(_PRIMES)
 
 
 class InsufficientDataError(ValueError):
     """Too few series terms to support a guess at the requested degree
     bounds."""
+
+
+class PrimeBudgetError(ArithmeticError):
+    """MAX_PRIMES primes gave no kernel vector that passes the exact
+    check over Z."""
+
+    def __init__(self, primes: int):
+        super().__init__("no kernel vector passed the exact check over Z "
+                         "after %d prime%s" % (primes, "s" * (primes != 1)))
+        self.primes = primes
 
 
 @dataclass(frozen=True)
@@ -52,11 +68,15 @@ def guess_min_poly(series: UnivariateSeries, dy: int,
     series through its truncation order.
 
     Every known coefficient gives one linear equation on the (dy+1)(dz+1)
-    unknown integer coefficients.  Returns None when only the zero
-    polynomial fits or when the margin (equations minus unknowns) falls
-    below GUESS_MARGIN_THRESHOLD; raises when the series is too short to
-    reach the threshold at all.  Among solutions, one of minimal y-degree and
-    then minimal z-degree is returned in content-free canonical form.
+    unknown integer coefficients, solved by elimination mod p, CRT,
+    rational reconstruction and an exact check over Z (see
+    _kernel_vector).  Returns None when only the zero polynomial fits or
+    when the margin (equations minus unknowns) falls below
+    GUESS_MARGIN_THRESHOLD; raises InsufficientDataError when the series
+    is too short to reach the threshold at all, and PrimeBudgetError
+    when MAX_PRIMES primes give no candidate that passes the exact
+    check.  Among solutions, one of minimal y-degree and then minimal
+    z-degree is returned in content-free canonical form.
     """
     if dy < 0 or dz < 0:
         raise ValueError("degree bounds must be >= 0, got dy=%d, dz=%d"
@@ -65,21 +85,18 @@ def guess_min_poly(series: UnivariateSeries, dy: int,
     rows = series.order + 1
     if rows < unknowns + GUESS_MARGIN_THRESHOLD:
         raise InsufficientDataError(
-            "need at least %d series terms for degree bounds (%d, %d), "
-            "have %d" % (unknowns + GUESS_MARGIN_THRESHOLD, dy, dz, rows))
+            "need series order at least %d for degree bounds (%d, %d), "
+            "have order %d" % (unknowns + GUESS_MARGIN_THRESHOLD - 1, dy, dz,
+                               series.order))
     powers = [UnivariateSeries.one(series.order)]
     for _ in range(dy):
         powers.append(powers[-1] * series)
     solution = _nullspace_vector(powers, dy, dz, rows)
     if solution is None:
         return None
+    # the columns at the tight bounds (ady, adz) keep their order, so the
+    # vector is also the first kernel vector there
     poly, adz, ady = solution
-    if ady < dy or adz < dz:
-        # the true degrees undershot the bounds; re-solve at the tight
-        # bounds so the minimality claim is explicit
-        tight = _nullspace_vector(powers, ady, adz, rows)
-        if tight is not None:
-            poly, adz, ady = tight
     margin = rows - (ady + 1) * (adz + 1)
     if margin < GUESS_MARGIN_THRESHOLD:
         return None
@@ -89,72 +106,122 @@ def guess_min_poly(series: UnivariateSeries, dy: int,
 
 def _nullspace_vector(powers: list[UnivariateSeries], dy: int, dz: int,
                       rows: int):
-    """One nullspace vector of the annihilation system, as a canonical
-    polynomial, or None.  Unknown (i, j) multiplies z^j y^i."""
-    cols = []
-    for i in range(dy + 1):
-        for j in range(dz + 1):
-            cols.append((i, j))
+    """The first kernel vector of the annihilation system, as a
+    canonical polynomial, or None.  Unknown (i, j) multiplies z^j y^i;
+    the columns run y-degree major, so the first kernel vector has
+    minimal y-degree and then minimal z-degree."""
+    cols = [(i, j) for i in range(dy + 1) for j in range(dz + 1)]
     matrix = []
     for n in range(rows):
-        row = []
-        for i, j in cols:
-            row.append(powers[i].c[n - j] if n >= j else 0)
-        matrix.append([Fraction(x) for x in row])
-    basis = _nullspace(matrix, len(cols))
-    if not basis:
+        row = [powers[i].c[n - j] if n >= j else 0 for i, j in cols]
+        den = math.lcm(*(x.denominator for x in row))
+        matrix.append([x.numerator * (den // x.denominator) for x in row])
+    vec = _kernel_vector(matrix, len(cols))
+    if vec is None:
         return None
-    vec = basis[0]
-    lcm = 1
-    for c in vec:
-        if c:
-            lcm = math.lcm(lcm, c.denominator)
     terms = {}
     ady = adz = 0
     for (i, j), c in zip(cols, vec):
         if c:
-            terms[(j, i)] = int(c * lcm)
+            terms[(j, i)] = c
             ady = max(ady, i)
             adz = max(adz, j)
     poly = MultivariatePolynomial(("z", "y"), terms).primitive()
     return poly, adz, ady
 
 
-def _nullspace(matrix: list[list[Fraction]], ncols: int
-               ) -> list[list[Fraction]]:
-    """Basis of the nullspace over Q, by Gaussian elimination with a
-    fixed pivot rule (first nonzero in column order)."""
-    m = [row[:] for row in matrix]
-    pivots: list[int] = []
-    r = 0
+def _kernel_vector(matrix: list[list[int]], ncols: int) -> list[int] | None:
+    """The first kernel vector over Q of an integer matrix, as a
+    primitive integer vector with a positive last nonzero entry, or None
+    when the columns are independent.
+
+    "First" means the one whose last nonzero column fc is smallest: the
+    kernel vector a Gauss-Jordan reduction over Q reads off its first
+    free column.  Each prime p gives fc_p <= fc (the primitive vector
+    reduces to a nonzero kernel vector mod p), so only the primes with
+    the largest fc_p so far are kept.  Their vectors are combined by
+    CRT and rationally reconstructed; a candidate is accepted only if
+    it annihilates every row exactly over Z.  Columns before fc are
+    then independent over Q, so the vector is the one over Q.
+    """
+    best = -1
+    residues: list[int] = []
+    modulus = 1
+    primes = _PRIMES[:MAX_PRIMES]
+    for p in primes:
+        found = _kernel_vector_mod(matrix, ncols, p)
+        if found is None:
+            return None     # full column rank mod p, hence over Q
+        fc, vec = found
+        if fc < best:
+            continue        # unlucky prime
+        if fc > best:
+            best, residues, modulus = fc, vec, p
+        else:
+            inv = pow(modulus, -1, p)
+            residues = [a + modulus * ((b - a) * inv % p)
+                        for a, b in zip(residues, vec)]
+            modulus *= p
+        candidate = _reconstruct(residues, modulus)
+        if candidate is not None and all(
+                sum(a * b for a, b in zip(row, candidate)) == 0
+                for row in matrix):
+            return candidate
+    raise PrimeBudgetError(len(primes))
+
+
+def _kernel_vector_mod(matrix: list[list[int]], ncols: int, p: int
+                       ) -> tuple[int, list[int]] | None:
+    """(fc, v): the first free column of the matrix mod p and its kernel
+    vector, v[fc] = 1 and zero beyond fc; None at full column rank.
+
+    Forward elimination, pivoting on the first row with a nonzero entry;
+    rows are stored reversed so the current column is the last entry and
+    is popped once eliminated.  Every column before fc is a pivot, so
+    back substitution through the pivot rows gives v."""
+    active = [[x % p for x in reversed(row)] for row in matrix]
+    echelon = []            # pivot row of column k, normalised, reversed
     for c in range(ncols):
-        pivot = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pivot = i
+        for idx, row in enumerate(active):
+            if row[-1]:
                 break
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for pr, pc in enumerate(pivots):
-            vec[pc] = -m[pr][fc]
-        basis.append(vec)
-    return basis
+        else:
+            vec = [0] * ncols
+            vec[c] = 1
+            for k in range(c - 1, -1, -1):
+                prow = echelon[k]
+                vec[k] = -sum(prow[ncols - 1 - j] * vec[j]
+                              for j in range(k + 1, c + 1)) % p
+            return c, vec
+        prow = active.pop(idx)
+        inv = pow(prow[-1], -1, p)
+        prow = [x * inv % p for x in prow]
+        echelon.append(prow)
+        for i, row in enumerate(active):
+            f = row.pop()
+            if f:
+                active[i] = [(a - f * b) % p for a, b in zip(row, prow)]
+    return None
+
+
+def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:
+    """The integer vector proportional to the rationals r/s with
+    |r|, |s| <= sqrt(modulus / 2) and s prime to the modulus congruent
+    to the residues, scaled by the lcm of the denominators; None if some
+    entry has no such r/s."""
+    bound = math.isqrt(modulus // 2)
+    fracs = []
+    for a in residues:
+        r0, r1, s0, s1 = modulus, a, 0, 1
+        while r1 > bound:
+            q = r0 // r1
+            r0, r1 = r1, r0 - q * r1
+            s0, s1 = s1, s0 - q * s1
+        if abs(s1) > bound or math.gcd(s1, modulus) != 1:
+            return None
+        fracs.append(Fraction(r1, s1))
+    den = math.lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs]
 
 
 def verify_annihilation(poly: MultivariatePolynomial, assignment: dict,

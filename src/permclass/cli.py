@@ -7,7 +7,8 @@ table is natural.  All output is deterministic for a given invocation.
 Exit codes: 0 success; 2 usage, parse or out-of-range input error;
 3 oracle/functional-equation mismatch; 4 node budget exhausted;
 5 verification failed; 6 internal consistency failure; 7 no polynomial
-found.
+found; 8 guess gave up: no kernel vector passed the exact check within
+algebraic.MAX_PRIMES primes.
 """
 from __future__ import annotations
 
@@ -26,6 +27,7 @@ EXIT_BUDGET = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_INCONSISTENT = 6
 EXIT_NO_GUESS = 7
+EXIT_PRIME_BUDGET = 8
 
 _CLASSES = {
     "class_a": (perms.CLASS_A_BASIS, class_a),
@@ -341,6 +343,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConsistencyError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
+    except algebraic.PrimeBudgetError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_PRIME_BUDGET
     except ValueError as exc:
         # out-of-range input rejected by the library (SeriesError and
         # InsufficientDataError included)

@@ -124,19 +124,22 @@ _STEPS: dict[str, Callable[[list, int, int], int]] = {
 
 
 class _Budget:
-    __slots__ = ("left",)
+    __slots__ = ("budget", "left")
 
     def __init__(self, budget: int | None):
-        self.left = budget if budget is not None else default_budget()
-        if self.left < 0:
-            raise ValueError("node budget must be >= 0, got %d" % self.left)
+        self.budget = budget if budget is not None else default_budget()
+        if self.budget < 0:
+            raise ValueError("node budget must be >= 0, got %d" % self.budget)
+        self.left = self.budget
 
-    def spend(self, amount: int) -> None:
+    def spend(self, amount: int, length: int) -> None:
+        """Spend on extending a parent to children of the given length."""
         self.left -= amount
         if self.left < 0:
             raise BudgetExceededError(
-                "extension-attempt budget exhausted; raise it via the "
-                "node_budget argument or %s" % BUDGET_ENV_VAR)
+                "node budget of %d extension attempts exhausted while "
+                "generating length %d; raise it with --node-budget or %s"
+                % (self.budget, length, BUDGET_ENV_VAR))
 
 
 def _walk(basis: Basis, n_max: int, node_budget: int | None,
@@ -169,7 +172,7 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     def expand(p: list, s: int) -> None:
         n = len(p) + 1      # length of the children
         lo = first if n >= 2 else 1
-        budget.spend(n - lo + 1)
+        budget.spend(n - lo + 1, n)
         # bit 0 stands for no value, and bit 1 is set when v = 1 is skipped
         forbid = forbidden(p) | ((1 << lo) - 1)
         counts[n] += n + 1 - forbid.bit_count()

@@ -1,7 +1,8 @@
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 import pytest
+from hypothesis import given, strategies as st
 
 from permclass import algebraic, class_a, class_b, fixtures
 from permclass.polynomials import MultivariatePolynomial
@@ -39,12 +40,117 @@ def test_guess_stable_under_more_terms(state_a60):
     assert g40.poly == g50.poly
 
 
+def test_guess_loose_bounds_give_tight_degrees(state_a60):
+    """Bounds (5, 6) above eq5's (3, 4) find eq5 and report its degrees
+    and the margin at the tight bounds."""
+    f1 = state_a60.f.subst_t(1)
+    loose = algebraic.guess_min_poly(f1, 5, 6)
+    tight = algebraic.guess_min_poly(f1, 3, 4)
+    assert loose == tight
+    assert (loose.dy, loose.dz, loose.confidence_margin) == (3, 4, 41)
+
+
 def test_guess_verify_round_trip(state_a60):
     f1 = state_a60.f.subst_t(1).truncate(40)
     guess = algebraic.guess_min_poly(f1, 3, 4)
     residual = algebraic.verify_annihilation(
         guess.poly, {"z": UnivariateSeries.z(40), "y": f1}, 40)
     assert residual > 40
+
+
+def _reference_kernel_vector(matrix, ncols):
+    """The first kernel vector by Gauss-Jordan over Fraction, pivoting on
+    the first nonzero entry in column order: the first free column gets
+    1, each pivot column minus its reduced entry there.  Scaled by the
+    lcm of the denominators; None at full column rank."""
+    m = [[Fraction(x) for x in row] for row in matrix]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            vec = [Fraction(0)] * ncols
+            vec[c] = Fraction(1)
+            for pr, pc in enumerate(pivots):
+                vec[pc] = -m[pr][c]
+            den = lcm(*(x.denominator for x in vec))
+            return [int(x * den) for x in vec]
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return None
+
+
+def _rows_orthogonal_to(v, us):
+    """(v.v) u - (u.v) v for each u: integer rows with v in the kernel."""
+    vv = sum(x * x for x in v)
+    out = []
+    for u in us:
+        uv = sum(a * b for a, b in zip(u, v))
+        out.append([vv * a - uv * b for a, b in zip(u, v)])
+    return out
+
+
+@st.composite
+def kernel_cases(draw):
+    ncols = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    us = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                       min_size=1, max_size=7))
+    v = draw(st.lists(entry, min_size=ncols, max_size=ncols))
+    if any(v) and draw(st.booleans()):
+        return _rows_orthogonal_to(v, us), ncols
+    return us, ncols
+
+
+@given(kernel_cases())
+def test_kernel_vector_matches_fraction_gauss_jordan(case):
+    matrix, ncols = case
+    assert (algebraic._kernel_vector(matrix, ncols)
+            == _reference_kernel_vector(matrix, ncols))
+
+
+def test_kernel_vector_drops_an_unlucky_prime(monkeypatch):
+    """Column 0 is a multiple of the first prime, so mod that prime the
+    first free column is 0, not 2; its vector e0 reconstructs but fails
+    the exact check, and the second prime's larger free column wins.
+    With column 0 a multiple of the second prime and a kernel entry of
+    2^70, that prime comes between the first, third and fourth, whose
+    CRT it must not join.  Each unlucky prime costs one prime, no more
+    (the cap is set to the primes needed)."""
+    a, b = (1, 2, 0, 1), (0, 1, 1, 3)
+    for p, k, cap in zip(algebraic._PRIMES, (1, 2 ** 70), (2, 4)):
+        monkeypatch.setattr(algebraic, "MAX_PRIMES", cap)
+        matrix = [[p * x, y, k * p * x + y] for x, y in zip(a, b)]
+        assert algebraic._kernel_vector_mod(matrix, 3, p) == (0, [1, 0, 0])
+        assert algebraic._kernel_vector(matrix, 3) == [-k, -1, 1]
+        assert _reference_kernel_vector(matrix, 3) == [-k, -1, 1]
+
+
+def test_kernel_vector_with_large_entries_needs_crt(monkeypatch):
+    """Entries above 2^70 reconstruct only from a modulus above 2^141,
+    that is from three 62-bit primes combined by CRT."""
+    v = [2 ** 71 + 1, -(2 ** 70 + 3), 5, 1]
+    matrix = _rows_orthogonal_to(v, [(1, 0, 2, 0), (0, 1, 0, 3),
+                                     (2, 1, 1, 1), (1, -1, 0, 4)])
+    assert _reference_kernel_vector(matrix, 4) == v
+    assert algebraic._kernel_vector(matrix, 4) == v
+    monkeypatch.setattr(algebraic, "MAX_PRIMES", 2)
+    with pytest.raises(algebraic.PrimeBudgetError) as info:
+        algebraic._kernel_vector(matrix, 4)
+    assert info.value.primes == 2
+
+
+def test_kernel_vector_full_rank_is_none():
+    matrix = [[1, 2], [3, 4], [5, 6]]
+    assert algebraic._kernel_vector(matrix, 2) is None
+    assert _reference_kernel_vector(matrix, 2) is None
 
 
 def test_verify_annihilation_mutation_detected(state_a60):

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from permclass import class_a, class_b, cli, oracle, perms
-from permclass.series import ConsistencyError
+from permclass import algebraic, class_a, class_b, cli, fixtures, oracle, perms
+from permclass.polynomials import MultivariatePolynomial
+from permclass.series import ConsistencyError, UnivariateSeries
 
 from conftest import golden_text
 
@@ -75,7 +76,9 @@ def test_count_budget_exhaustion_exit_code(capsys):
                            "--n", "9", "--method", "oracle",
                            "--node-budget", "50")
     assert code == cli.EXIT_BUDGET
-    assert "budget" in err
+    assert "budget of 50" in err
+    assert "generating length 9" in err
+    assert "--node-budget" in err and oracle.BUDGET_ENV_VAR in err
 
 
 def test_distribution_csv_matches_golden(capsys, monkeypatch,
@@ -107,6 +110,56 @@ def test_guess_no_polynomial_found(capsys):
                            "--terms", "20", "--dy", "1", "--dz", "1")
     assert code == cli.EXIT_NO_GUESS
     assert "no polynomial found" in out
+
+
+def test_guess_class_b_degree8(capsys):
+    """Class B's degree-8 polynomial guessed from its own series equals
+    the bundled one; about 1.5 s."""
+    code, out, _ = run_cli(capsys, "guess", "--class", "class_b",
+                           "--terms", "190", "--dy", "8", "--dz", "17")
+    assert code == 0
+    lines = out.splitlines()
+    term_list = next(ln for ln in lines if ln.startswith("term list: "))
+    poly = MultivariatePolynomial.parse(term_list[len("term list: "):],
+                                        ("z", "y"))
+    degree8 = fixtures.degree8_min_poly()
+    assert poly in (degree8, -degree8)
+    assert "degrees: y 8, z 17" in lines
+    assert "margin: 29" in lines
+    assert "verification residual order: 191" in lines
+
+
+def test_guess_insufficient_data_message(capsys):
+    """--terms 28 gives a series to order 28; bounds (3, 4) need 29."""
+    code, out, err = run_cli(capsys, "guess", "--class", "class_a",
+                             "--terms", "28", "--dy", "3", "--dz", "4")
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: need series order at least 29 for degree bounds (3, 4), "
+        "have order 28"]
+
+
+def test_guess_prime_budget_exit_code(capsys, monkeypatch):
+    """y = 1/(1 - 3^30 z) has a kernel vector with denominator 3^30 >
+    2^47, which one 62-bit prime cannot reconstruct and two can."""
+    c = 3 ** 30
+    monkeypatch.setattr(cli, "_series_for", lambda class_id, source, order:
+                        UnivariateSeries([c ** n for n in range(order + 1)],
+                                         order))
+    primes = []
+    real = algebraic._kernel_vector_mod
+    monkeypatch.setattr(algebraic, "_kernel_vector_mod",
+                        lambda m, n, p: primes.append(p) or real(m, n, p))
+    argv = ("guess", "--class", "class_a", "--terms", "20", "--dy", "1",
+            "--dz", "1")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and len(primes) == 2
+    assert "term list: %d:z*y -1:y 1:1" % c in out
+    monkeypatch.setattr(algebraic, "MAX_PRIMES", 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_PRIME_BUDGET == 8 and out == ""
+    assert err.splitlines() == [
+        "error: no kernel vector passed the exact check over Z after 1 prime"]
 
 
 def test_verify_fixture_pass(capsys):
