@@ -22,8 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import class_b
-from .polynomials import (MultivariatePolynomial, NotDivisibleError,
-                          newton_series_root, resultant)
+from .polynomials import MultivariatePolynomial, newton_series_root, resultant
 from .series import UnivariateSeries
 
 GUESS_MARGIN_THRESHOLD = 10
@@ -251,60 +250,13 @@ _KVARS = ("y0", "y1", "y2", "y3", "z", "t")
 # and (z, t) play the roles of x0, x1.
 
 
-def _kgens():
-    return MultivariatePolynomial.variables(*_KVARS)
-
-
-def _factor_table() -> dict[str, MultivariatePolynomial]:
-    y0, y1, y2, y3, z, t = _kgens()
-    return {
-        "t1": 1 - t,
-        "z1": 1 - z,
-        "z2": 1 - 2 * z,
-        "tz": 1 - t * z,
-        "pz": 1 - z - t * z,
-        "ttz": 1 - t + t * z,
-    }
-
-
-class _RationalFunction:
-    """num / prod(factor^e) with factors drawn from the fixed table;
-    no cancellation is attempted (the final numerator is cleaned up by
-    trial division)."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: MultivariatePolynomial,
-                 den: dict | None = None):
-        self.num = num
-        self.den = {k: v for k, v in (den or {}).items() if v}
-
-    def __mul__(self, other: "_RationalFunction") -> "_RationalFunction":
-        den = dict(self.den)
-        for k, v in other.den.items():
-            den[k] = den.get(k, 0) + v
-        return _RationalFunction(self.num * other.num, den)
-
-    def __add__(self, other: "_RationalFunction") -> "_RationalFunction":
-        table = _factor_table()
-        den = dict(self.den)
-        for k, v in other.den.items():
-            den[k] = max(den.get(k, 0), v)
-        a, b = self.num, other.num
-        for k, v in den.items():
-            a = a * table[k] ** (v - self.den.get(k, 0))
-            b = b * table[k] ** (v - other.den.get(k, 0))
-        return _RationalFunction(a + b, den)
-
-    def __sub__(self, other: "_RationalFunction") -> "_RationalFunction":
-        return self + _RationalFunction(-other.num, other.den)
-
-
 @dataclass(frozen=True)
 class KernelDecomposition:
-    """P = K*y0 + R with K free of y0..y3.  cofactor is K divided by
-    its displayed factored form (1-2z)(1-z) m1 m2; a transcription
-    error anywhere makes the division fail instead of yielding a unit.
+    """P = K*y0 + R with K free of y0..y3, where P is the class-B
+    functional equation cleared over its least common denominator.
+    cofactor is K divided by its displayed factored form
+    (1-2z)(1-z) m1 m2 (kernel_poly); a transcription error anywhere
+    makes the division fail or leaves a non-constant cofactor.
     """
 
     P: MultivariatePolynomial
@@ -336,7 +288,7 @@ def kernel_poly() -> MultivariatePolynomial:
 
 
 def kernel_extract() -> KernelDecomposition:
-    """Clear the class-B functional equation over its common
+    """Clear the class-B functional equation over its least common
     denominator and split off the coefficient of y0 = f(z,t).
 
     The equation, with the monomial operators summed in closed form
@@ -347,27 +299,37 @@ def kernel_extract() -> KernelDecomposition:
                + (tz/(1-tz)) (z/(1-2z)) [-(1-z)/(1-t+tz)]
                    [t (y1 - y0)/(1-t) - (y3 - y1)]
 
-    where p = t^2 z^4/((1-z)^2 (1-tz)(1-(1+t)z)) and s is the
-    single-slice series' closed form.  The numerator P is linear in
-    y0..y3 and its y0-coefficient is divisible by the kernel K.
+    where p = t^2 z^4/((1-z)^2 (1-tz)(1-(1+t)z)) and
+    s = z/(1-tz) + t z^3/((1-2z)(1-tz)^2)
+        + t^2 z^5/((1-z)^2 (1-tz)^2 (1-(1+t)z)).
+    y0 minus the right-hand side is written as seven terms, each a
+    numerator over a product of factors from one table; the numerator
+    over the per-factor maximum exponents, made primitive, is P.  P is
+    linear in y0..y3 and its y0-coefficient is the kernel K.
     """
-    y0, y1, y2, y3, z, t = _kgens()
-    one = MultivariatePolynomial.constant(_KVARS, 1)
-
-    def rf(num, **den):
-        return _RationalFunction(num, den)
-
-    s = (rf(z, tz=1) + rf(t * z ** 3, z2=1, tz=2)
-         + rf(t ** 2 * z ** 5, z1=2, tz=2, pz=1))
-    psi_pref = rf(t ** 2 * z ** 4, z1=2, tz=1, pz=1)
-    g_a = s * rf(y1 - t * y0, t1=1)
-    g_b = psi_pref * rf((1 - t).lift(_KVARS) * y2 - t * y1 + t * y0, t1=2)
-    lam_t = rf(z * (y1 - y0) * t, z2=1, t1=1)
-    lam_u = rf(y3 - y1, z2=1)
-    g_c = rf(t * z, tz=1) * rf(-(1 - z).lift(_KVARS), ttz=1) * (lam_t - lam_u)
-    lhs = _RationalFunction(y0) - _RationalFunction(one) - g_a - g_b - g_c
-    p = lhs.num.primitive()
-    p = _strip_spurious_factors(p)
+    y0, y1, y2, y3, z, t = MultivariatePolynomial.variables(*_KVARS)
+    factors = {"t1": 1 - t, "z1": 1 - z, "z2": 1 - 2 * z, "tz": 1 - t * z,
+               "pz": 1 - z - t * z, "ttz": 1 - t + t * z}
+    a = y1 - t * y0
+    b = (1 - t) * y2 - t * y1 + t * y0
+    c = (1 - z) * t * z
+    terms = [
+        (y0 - 1, {}),
+        (-z * a, {"tz": 1, "t1": 1}),
+        (-t * z ** 3 * a, {"z2": 1, "tz": 2, "t1": 1}),
+        (-t ** 2 * z ** 5 * a, {"z1": 2, "tz": 2, "pz": 1, "t1": 1}),
+        (-t ** 2 * z ** 4 * b, {"z1": 2, "tz": 1, "pz": 1, "t1": 2}),
+        (c * z * t * (y1 - y0), {"tz": 1, "ttz": 1, "z2": 1, "t1": 1}),
+        (-c * (y3 - y1), {"tz": 1, "ttz": 1, "z2": 1}),
+    ]
+    lcd = {name: max(den.get(name, 0) for _, den in terms)
+           for name in factors}
+    p = MultivariatePolynomial.zero(_KVARS)
+    for num, den in terms:
+        for name, e in lcd.items():
+            num = num * factors[name] ** (e - den.get(name, 0))
+        p = p + num
+    p = p.primitive()
     for name in ("y0", "y1", "y2", "y3"):
         if p.degree(name) != 1:
             raise ArithmeticError("P is not linear in %s" % name)
@@ -377,29 +339,10 @@ def kernel_extract() -> KernelDecomposition:
             raise ArithmeticError("y0-coefficient involves %s" % name)
     k_zt = k_coeff.eval_univariate({"y1": 0, "y2": 0, "y3": 0})
     cofactor = k_zt.exact_div(kernel_poly())  # raises if transcription wrong
-    r = p - k_coeff.lift(_KVARS) * MultivariatePolynomial.variable(_KVARS,
-                                                                   "y0")
+    r = p - k_coeff.lift(_KVARS) * y0
     if r.degree("y0") > 0:
         raise ArithmeticError("remainder still involves y0")
     return KernelDecomposition(P=p, K=k_zt, R=r, cofactor=cofactor)
-
-
-def _strip_spurious_factors(p: MultivariatePolynomial
-                            ) -> MultivariatePolynomial:
-    """Divide out denominator factors the common-denominator pass left
-    in all terms (the representation never cancels)."""
-    table = _factor_table()
-    changed = True
-    while changed:
-        changed = False
-        for factor in table.values():
-            try:
-                q = p.exact_div(factor)
-            except NotDivisibleError:
-                continue
-            p = q
-            changed = True
-    return p.primitive()
 
 
 def kernel_root_check(n_max: int, state: "class_b.ClassBState") -> dict:
@@ -423,13 +366,11 @@ def kernel_root_check(n_max: int, state: "class_b.ClassBState") -> dict:
     p_full = decomp.P.eval(
         dict(assignment, y0=state.f.subst_t(t1).truncate(n_max)))
     return {
-        "t1": t1,
         "m1_residual_order": m1_res,
         "kernel_residual_order": k_res,
         "r_residual_order": r_zt.eval(assignment).valuation(),
         "p_residual_order": p_full.valuation(),
         "cofactor": decomp.cofactor,
-        "order": n_max,
     }
 
 
@@ -493,13 +434,12 @@ def discriminant_in_z(minpoly: MultivariatePolynomial
     return resultant(minpoly, minpoly.derivative("y"), "y")
 
 
-def reported_growth(minpoly: MultivariatePolynomial,
-                    counts: list[int]) -> float:
-    """The reciprocal of the smallest singularity candidate within
-    GROWTH_TOLERANCE (relative) of the numeric estimate from the
-    counting sequence."""
+def reported_growth(candidates: list[float], counts: list[int]) -> float:
+    """The reciprocal of the smallest singularity candidate (as listed
+    by growth_exact) within GROWTH_TOLERANCE (relative) of the numeric
+    estimate from the counting sequence."""
     estimate = growth_estimate(counts, "extrapolated")
-    for cand in growth_exact(minpoly):
+    for cand in candidates:
         if cand > 0 and (abs(1.0 / cand - estimate)
                          <= GROWTH_TOLERANCE * estimate):
             return 1.0 / cand
@@ -507,14 +447,10 @@ def reported_growth(minpoly: MultivariatePolynomial,
 
 
 def _z_coeffs(p: MultivariatePolynomial) -> list[Fraction]:
-    """Coefficient list of a univariate polynomial (any single-variable
-    MultivariatePolynomial)."""
+    """Coefficient list of a polynomial in one variable."""
     if len(p.vars) != 1:
-        live = [v for v in p.vars if p.degree(v) > 0]
-        if len(live) > 1:
-            raise ValueError("polynomial is not univariate")
-        name = live[0] if live else p.vars[0]
-        p = p.eval_univariate({v: 0 for v in p.vars if v != name})
+        raise ValueError("expected a polynomial in one variable, got %s"
+                         % ", ".join(p.vars))
     out = [Fraction(0)] * (p.total_degree() + 1)
     for e, c in p.terms.items():
         out[e[0]] = Fraction(c)

@@ -41,10 +41,6 @@ _FIXTURES = {
     "eq5": fixtures.eq5_min_poly,
     "eq6": fixtures.eq6_min_poly,
     "degree8": fixtures.degree8_min_poly,
-    "growth_quartic": fixtures.growth_quartic,
-    "kernel_k": fixtures.kernel_k,
-    "kernel_m1": fixtures.kernel_m1,
-    "kernel_m2": fixtures.kernel_m2,
 }
 
 
@@ -226,9 +222,8 @@ def cmd_growth(args) -> int:
     lines = ["ratio estimate: %.6f" % ratio,
              "extrapolated estimate: %.6f" % extrapolated]
     if class_id == "class_a":
-        minpoly = fixtures.eq5_min_poly()
-        candidates = algebraic.growth_exact(minpoly)
-        growth = algebraic.reported_growth(minpoly, counts)
+        candidates = algebraic.growth_exact(fixtures.eq5_min_poly())
+        growth = algebraic.reported_growth(candidates, counts)
         payload.update(candidates=candidates, exact_growth=growth,
                        note="singularity 5/32, growth 32/5")
         lines += ["singularity candidates: %s"

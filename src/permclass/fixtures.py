@@ -1,6 +1,6 @@
 """Bundled polynomial fixtures.
 
-The long displays (minimal polynomials, kernel factors, the growth
+The long displays (the three minimal polynomials and the class-B growth
 quartic) are shipped as data files rather than code: transcription is
 the dominant risk for objects this size, so each file carries a sha256
 recorded in data/CHECKSUMS and every load verifies it.  The annihilation
@@ -79,17 +79,3 @@ def growth_quartic() -> MultivariatePolynomial:
     Av(1432,2143) growth rate."""
     return load_poly("growth_quartic.txt")
 
-
-def kernel_k() -> MultivariatePolynomial:
-    """The kernel K(z,t) of the class-B recursion, expanded."""
-    return load_poly("kernel_k.txt")
-
-
-def kernel_m1() -> MultivariatePolynomial:
-    """Minimal polynomial of the unramified kernel root t1(z)."""
-    return load_poly("kernel_m1.txt")
-
-
-def kernel_m2() -> MultivariatePolynomial:
-    """Minimal polynomial of the two ramified kernel roots."""
-    return load_poly("kernel_m2.txt")

@@ -76,7 +76,13 @@ def parse_counts(text: str) -> list[int]:
 
 def default_budget() -> int:
     value = os.environ.get(BUDGET_ENV_VAR)
-    return int(value) if value else DEFAULT_NODE_BUDGET
+    if not value:
+        return DEFAULT_NODE_BUDGET
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError("%s must be an integer, got %r"
+                         % (BUDGET_ENV_VAR, value)) from None
 
 
 # The scan giving, as a bit mask (bit v), the values whose appending to

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from math import comb, lcm
 
@@ -173,15 +174,34 @@ def test_kernel_decomposition_identity():
     assert kd.cofactor.total_degree() == 0
     for name in ("y0", "y1", "y2", "y3"):
         assert kd.P.degree(name) == 1
-    assert kd.K == fixtures.kernel_k() * int(kd.cofactor.terms.get((0, 0), 1))
+    assert kd.K == algebraic.kernel_poly() * kd.cofactor.terms[(0, 0)]
 
 
-def test_kernel_fixture_matches_factored_form():
-    z, t = MultivariatePolynomial.variables("z", "t")
-    assert fixtures.kernel_k() == \
-        (1 - 2 * z) * (1 - z) * fixtures.kernel_m1() * fixtures.kernel_m2()
-    assert algebraic.m1_poly() == fixtures.kernel_m1()
-    assert algebraic.m2_poly() == fixtures.kernel_m2()
+def test_kernel_extract_term_counts_and_hashes():
+    """P, K, R and the cofactor, pinned by term count and the sha256 of
+    serialize(); any change to the cleared equation shows here."""
+    kd = algebraic.kernel_extract()
+    expected = {
+        "P": (155, "8fb76bc221eac057f6949daf1b4f4e1c"
+                   "054e615fa54dd152597daec6dea26e5b"),
+        "K": (40, "dc0da4b85228d6589189b125ccd4021b"
+                  "0434e244f9fd76390ca1fd4ce2482e9f"),
+        "R": (115, "c1a792a4b79296f2a7c6636816fd36df"
+                   "5047550f0c8f6a82671b49942351628d"),
+    }
+    for name, (count, digest) in expected.items():
+        poly = getattr(kd, name)
+        assert len(poly.terms) == count, name
+        assert hashlib.sha256(
+            poly.serialize().encode()).hexdigest() == digest, name
+    assert len(kd.cofactor.terms) == 1
+    assert kd.cofactor.serialize() == "1:1"
+
+
+def test_kernel_factor_t_degrees():
+    # one unramified root t1 (quadratic m1) and two ramified (quartic m2)
+    assert algebraic.m1_poly().degree("t") == 2
+    assert algebraic.m2_poly().degree("t") == 4
 
 
 def test_m1_root_at_origin():
@@ -226,5 +246,5 @@ def test_class_a_exact_growth(state_a60):
     assert any(abs(c - 5 / 32) < 1e-12 for c in candidates)
     disc = algebraic.discriminant_in_z(eq5)
     assert disc.eval({"z": Fraction(5, 32)}) == 0
-    growth = algebraic.reported_growth(eq5, class_a.counts(state_a60))
+    growth = algebraic.reported_growth(candidates, class_a.counts(state_a60))
     assert abs(growth - 32 / 5) < 1e-12

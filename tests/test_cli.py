@@ -81,6 +81,15 @@ def test_count_budget_exhaustion_exit_code(capsys):
     assert "--node-budget" in err and oracle.BUDGET_ENV_VAR in err
 
 
+def test_count_invalid_budget_env_var_names_it(capsys, monkeypatch):
+    monkeypatch.setenv(oracle.BUDGET_ENV_VAR, "abc")
+    code, out, err = run_cli(capsys, "count", "--class", "class_a",
+                             "--n", "3", "--method", "oracle")
+    assert code == 2 and out == ""
+    assert err == ("error: PERMCLASS_NODE_BUDGET must be an integer, "
+                   "got 'abc'\n")
+
+
 def test_distribution_csv_matches_golden(capsys, monkeypatch,
                                         oracle_distributions_10):
     """The CLI's CSV of the oracle report equals the golden file; the
@@ -249,6 +258,18 @@ def test_verify_unknown_fixture(capsys):
                            "--fixture", "nope", "--order", "10")
     assert code == 2
     assert "unknown fixture" in err
+
+
+@pytest.mark.parametrize("name", ["kernel_k", "kernel_m1", "kernel_m2",
+                                  "growth_quartic"])
+def test_verify_fixture_without_a_series_root_is_unknown(capsys, name):
+    """The kernel factors are in t and the growth quartic has no y, so
+    verify offers neither."""
+    code, out, err = run_cli(capsys, "verify", "--class", "class_a",
+                             "--fixture", name, "--order", "10")
+    assert code == 2 and out == ""
+    assert err == ("error: unknown fixture %r (choose from degree8, eq5, "
+                   "eq6)\n" % name)
 
 
 def test_growth_class_a(capsys):

@@ -1,3 +1,5 @@
+from importlib import resources
+
 import pytest
 
 from permclass import fixtures
@@ -9,17 +11,22 @@ def test_all_fixtures_load_and_verify():
         "eq6": fixtures.eq6_min_poly(),
         "degree8": fixtures.degree8_min_poly(),
         "quartic": fixtures.growth_quartic(),
-        "k": fixtures.kernel_k(),
-        "m1": fixtures.kernel_m1(),
-        "m2": fixtures.kernel_m2(),
     }
     assert polys["eq5"].degree("y") == 3 and polys["eq5"].degree("z") == 4
     assert polys["eq6"].degree("y") == 3 and polys["eq6"].degree("z") == 8
     assert polys["degree8"].degree("y") == 8
     assert polys["degree8"].degree("z") == 17
     assert polys["quartic"].vars == ("z",)
-    assert polys["m1"].degree("t") == 2
-    assert polys["m2"].degree("t") == 4
+
+
+def test_checksums_name_exactly_the_data_files():
+    """No orphan data file and no stale checksum: CHECKSUMS lists every
+    other file in data/, and each loads through its checksum."""
+    data = resources.files(fixtures.__package__) / "data"
+    files = {f.name for f in data.iterdir() if f.is_file()} - {"CHECKSUMS"}
+    assert set(fixtures._checksums()) == files
+    for name in files:
+        assert not fixtures.load_poly(name).is_zero()
 
 
 def test_eq5_spot_coefficients():
