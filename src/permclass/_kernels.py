@@ -36,74 +36,17 @@ def series_mul(a: list, b: list, order: int) -> list:
 
 
 def class_a_child_ok(q: list, v: int) -> bool:
-    """Avoidance check for Av(2413,3412) when ``v`` was appended as the
-    rightmost entry of ``q`` (``q`` includes ``v`` in its last slot; the
-    prefix already avoids the basis).  An occurrence of a basis pattern
-    must end at the new entry:
-
-      2413 with v as the '3':  exists i<j<k: q[k] < q[i] < v < q[j]
-      3412 with v as the '2':  exists i<j<k: q[k] < v < q[i] < q[j]
-    """
-    n = len(q) - 1
-    if n < 3:
-        return True
-    # inclusive suffix minima over the prefix q[0..n-1]
-    sufmin = [0] * n
-    cur = q[n - 1]
-    for j in range(n - 1, -1, -1):
-        if q[j] < cur:
-            cur = q[j]
-        sufmin[j] = cur
-    max_below = 0       # max q[i] with q[i] < v among i < j
-    min_above = n + 2   # min q[i] with q[i] > v among i < j
-    for j in range(n):
-        qj = q[j]
-        if qj > v:
-            # 2413: q[i] < v < q[j], some later q[k] < q[i]
-            if j + 1 < n and max_below > sufmin[j + 1]:
-                return False
-            # 3412: v < q[i] < q[j], some later q[k] < v
-            if j + 1 < n and qj > min_above and sufmin[j + 1] < v:
-                return False
-            if qj < min_above:
-                min_above = qj
-        elif qj > max_below:
-            max_below = qj
-    return True
+    """Whether ``q``, a permutation of 1..n+1 ending in ``v`` whose
+    prefix avoids 2413 and 3412, still avoids them: ``v`` is not in
+    ``class_a_forbidden`` of the prefix relabelled to 1..n."""
+    parent = [x - 1 if x > v else x for x in q[:-1]]
+    return not class_a_forbidden(parent) >> v & 1
 
 
 def class_b_child_ok(q: list, v: int) -> bool:
-    """Avoidance check for Av(1432,2143) with ``v`` appended:
-
-      1432 with v as the '2':  exists i<j<k: q[i] < v < q[k] < q[j]
-      2143 with v as the '3':  exists i<j<k: q[j] < q[i] < v < q[k]
-    """
-    n = len(q) - 1
-    if n < 3:
-        return True
-    premin = n + 2          # min over entries strictly before current
-    runmax_after_low = 0    # max q[j] over j with premin[j] < v
-    max_below = 0           # max q[i] with q[i] < v so far
-    inv_below_v = False     # some i<j with q[j] < q[i] < v seen
-    for k in range(n):
-        qk = q[k]
-        if qk > v:
-            # 1432: earlier j with q[j] > q[k] > v and a small entry before j
-            if runmax_after_low > qk:
-                return False
-            # 2143: an inversion below v before k
-            if inv_below_v:
-                return False
-        if premin < v and qk > runmax_after_low:
-            runmax_after_low = qk
-        if qk < v:
-            if qk < max_below:
-                inv_below_v = True
-            elif qk > max_below:
-                max_below = qk
-        if qk < premin:
-            premin = qk
-    return True
+    """Like ``class_a_child_ok`` for 1432 and 2143."""
+    parent = [x - 1 if x > v else x for x in q[:-1]]
+    return not class_b_forbidden(parent) >> v & 1
 
 
 def class_a_forbidden(p: list) -> int:

@@ -13,7 +13,8 @@ Four groups of tools:
   power-series root feeds the kernel method;
 * growth rates, numeric (ratio / Richardson extrapolation) and exact
   (singularity candidates from the discriminant of a minimal
-  polynomial, isolated and refined with rational arithmetic).
+  polynomial, bracketed by sign tests and bisection in integers on a
+  grid of step 2^-50; floats appear only in the final division).
 """
 from __future__ import annotations
 
@@ -27,6 +28,10 @@ from .series import UnivariateSeries
 
 GUESS_MARGIN_THRESHOLD = 10
 GROWTH_TOLERANCE = 0.25
+# growth_exact brackets each root in a cell of width 2^-_GRID_BITS; the
+# class-B root 5.63175953882542668... is 7.3e-14 below a boundary of its
+# 12-place rounding, so 2^-44 would be too coarse
+_GRID_BITS = 50
 # the 62-bit primes 2^62 - d for guessing by elimination mod p, tried in
 # order; MAX_PRIMES caps how many one guess may use
 _PRIMES = tuple((1 << 62) - d for d in (57, 87, 117, 143, 153, 167, 171, 195))
@@ -333,43 +338,38 @@ def kernel_extract() -> KernelDecomposition:
     for name in ("y0", "y1", "y2", "y3"):
         if p.degree(name) != 1:
             raise ArithmeticError("P is not linear in %s" % name)
-    k_coeff = p.coefficient_in("y0", 1)
+    k = p.coefficient_in("y0", 1)
     for name in ("y1", "y2", "y3"):
-        if k_coeff.degree(name) > 0:
+        if k.degree(name) > 0:
             raise ArithmeticError("y0-coefficient involves %s" % name)
-    k_zt = k_coeff.eval_univariate({"y1": 0, "y2": 0, "y3": 0})
-    cofactor = k_zt.exact_div(kernel_poly())  # raises if transcription wrong
-    r = p - k_coeff.lift(_KVARS) * y0
+        k = k.coefficient_in(name, 0)
+    cofactor = k.exact_div(kernel_poly())  # raises if transcription wrong
+    r = p - k.lift(_KVARS) * y0
     if r.degree("y0") > 0:
         raise ArithmeticError("remainder still involves y0")
-    return KernelDecomposition(P=p, K=k_zt, R=r, cofactor=cofactor)
+    return KernelDecomposition(P=p, K=k, R=r, cofactor=cofactor)
 
 
 def kernel_root_check(n_max: int, state: "class_b.ClassBState") -> dict:
     """Compute the kernel root t1(z) and verify the annihilations the
     kernel method rests on.  Returns a report dict with the four
-    residual orders (m1, K, R and P at t1 and the class-B series), each
-    of which exceeds n_max when its check passes, and the cofactor of
-    the kernel decomposition.
+    residual orders (verify_annihilation of m1, K, R and P at one
+    assignment: t = t1, y0 = f(z, t1) and y1..y3 the class-B auxiliary
+    series), each of which exceeds n_max when its check passes, and the
+    cofactor of the kernel decomposition.
     """
     if state.order < n_max:
         raise ValueError("state order below requested check order")
     t1 = newton_series_root(m1_poly(), Fraction(1), n_max)
-    zs = UnivariateSeries.z(n_max)
-    m1_res = m1_poly().eval({"z": zs, "t": t1}).valuation()
-    k_res = kernel_poly().eval({"z": zs, "t": t1}).valuation()
     decomp = kernel_extract()
     f1, ft1, frecip = class_b.auxiliary_series(state)
-    assignment = {"y1": f1.truncate(n_max), "y2": ft1.truncate(n_max),
-                  "y3": frecip.truncate(n_max), "z": zs, "t": t1}
-    r_zt = decomp.R.eval_univariate({"y0": 0})
-    p_full = decomp.P.eval(
-        dict(assignment, y0=state.f.subst_t(t1).truncate(n_max)))
+    at = {"y0": state.f.subst_t(t1), "y1": f1, "y2": ft1, "y3": frecip,
+          "z": UnivariateSeries.z(n_max), "t": t1}
     return {
-        "m1_residual_order": m1_res,
-        "kernel_residual_order": k_res,
-        "r_residual_order": r_zt.eval(assignment).valuation(),
-        "p_residual_order": p_full.valuation(),
+        "m1_residual_order": verify_annihilation(m1_poly(), at, n_max),
+        "kernel_residual_order": verify_annihilation(decomp.K, at, n_max),
+        "r_residual_order": verify_annihilation(decomp.R, at, n_max),
+        "p_residual_order": verify_annihilation(decomp.P, at, n_max),
         "cofactor": decomp.cofactor,
     }
 
@@ -407,7 +407,9 @@ def growth_exact(minpoly: MultivariatePolynomial) -> list[float]:
     """Positive real singularity candidates of the algebraic function
     defined by minpoly(z, y) = 0: roots of the y-discriminant and of
     the leading y-coefficient.  A y-free polynomial is treated as a
-    direct root-finding problem in z.
+    direct root-finding problem in z.  Each root is reported as the
+    grid point 2^-_GRID_BITS at or below it (see _positive_roots),
+    rounded to 12 places.
 
     >>> z, y = MultivariatePolynomial.variables("z", "y")
     >>> growth_exact(y * (1 - z) - 1)
@@ -446,23 +448,27 @@ def reported_growth(candidates: list[float], counts: list[int]) -> float:
     raise ArithmeticError("no singularity candidate matches the estimate")
 
 
-def _z_coeffs(p: MultivariatePolynomial) -> list[Fraction]:
+def _z_coeffs(p: MultivariatePolynomial) -> list[int]:
     """Coefficient list of a polynomial in one variable."""
     if len(p.vars) != 1:
         raise ValueError("expected a polynomial in one variable, got %s"
                          % ", ".join(p.vars))
-    out = [Fraction(0)] * (p.total_degree() + 1)
+    out = [0] * (p.total_degree() + 1)
     for e, c in p.terms.items():
-        out[e[0]] = Fraction(c)
+        out[e[0]] = c
     return out
 
 
-def _positive_roots(coeffs: list[Fraction]) -> list[float]:
-    """Positive real roots of a rational-coefficient polynomial,
-    isolated by recursion on the derivative (the polynomial is
-    monotonic between derivative roots) and refined by bisection to
-    1e-9, then polished with float Newton on the squarefree part, where
-    every root is simple and Newton converges quadratically."""
+def _positive_roots(coeffs: list[int]) -> list[float]:
+    """Positive real roots of an integer polynomial, each to within one
+    step of the grid 2^-_GRID_BITS below it.
+
+    The squarefree part p (degree d), where every root is a sign change,
+    is scaled to Q(a) = 2^(_GRID_BITS d) p(a / 2^_GRID_BITS), which has
+    integer coefficients; its roots in [0, Cauchy bound) are bracketed
+    in ints by _roots_between.  A root that is a grid point, such as
+    5/32, is found exactly; one within one grid step of an extremum of
+    p, or of one of its derivatives, can be missed."""
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     while coeffs and coeffs[0] == 0:
@@ -470,20 +476,22 @@ def _positive_roots(coeffs: list[Fraction]) -> list[float]:
     if len(coeffs) <= 1:
         return []
     sq = _squarefree(coeffs)
-    bound = 1 + max(abs(c) for c in sq[:-1]) / abs(sq[-1])
-    roots = _roots_between(sq, Fraction(0), Fraction(bound))
-    return [_polish(sq, r) for r in roots if r > 0]
+    d = len(sq) - 1
+    scaled = [c << (_GRID_BITS * (d - i)) for i, c in enumerate(sq)]
+    one = 1 << _GRID_BITS
+    bound = one - (-max(abs(c) for c in sq[:-1]) * one // abs(sq[-1]))
+    return [a / one for a in _roots_between(scaled, 0, bound)]
 
 
 def _horner(coeffs: list, x):
-    """The polynomial at x, exact for Fractions and float for floats."""
+    """The polynomial at x."""
     acc = 0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
 
 
-def _deriv(coeffs: list[Fraction]) -> list[Fraction]:
+def _deriv(coeffs: list) -> list:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
@@ -509,67 +517,53 @@ def _poly_divmod(a: list[Fraction], b: list[Fraction]
     return q, a
 
 
-def _poly_gcd(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    while b:
-        a, b = b, _poly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _squarefree(coeffs: list[Fraction]) -> list[Fraction]:
-    g = _poly_gcd(coeffs, _deriv(coeffs))
+def _squarefree(coeffs: list[int]) -> list[int]:
+    """coeffs / gcd(coeffs, coeffs'), scaled to integers: the same
+    roots, each simple."""
+    p = [Fraction(c) for c in coeffs]
+    g, r = p, _deriv(p)
+    while r:
+        g, r = r, _poly_divmod(g, r)[1]
     if len(g) <= 1:
         return coeffs
-    return _poly_divmod(coeffs, g)[0]
+    q = _poly_divmod(p, g)[0]
+    den = math.lcm(*(c.denominator for c in q))
+    return [c.numerator * (den // c.denominator) for c in q]
 
 
-def _roots_between(coeffs: list[Fraction], lo: Fraction,
-                   hi: Fraction) -> list[Fraction]:
-    """All roots in [lo, hi]; the polynomial is made squarefree first
-    so a root can coincide with a derivative root only at lo."""
-    coeffs = _squarefree(coeffs)
+def _roots_between(coeffs: list[int], lo: int, hi: int) -> list[int]:
+    """The integers a in [lo, hi) such that [a, a+1) holds a root of the
+    integer polynomial at which it changes sign.
+
+    The cells of the derivative's sign changes, found the same way,
+    split [lo, hi] into stretches where the polynomial is monotonic,
+    each holding at most one root, and cells that hold an extremum.  A
+    root is a breakpoint where the polynomial vanishes, or is bracketed
+    by a sign change and bisected in ints down to one cell.  So every
+    root is found if the polynomial is squarefree (a root of even
+    multiplicity is no sign change) and no root lies within one cell of
+    an extremum, where two roots cancel and are missed."""
     if len(coeffs) <= 1:
         return []
-    if len(coeffs) == 2:
-        root = -coeffs[0] / coeffs[1]
-        return [root] if lo <= root <= hi else []
-    breaks = sorted({lo, hi, *_roots_between(_deriv(coeffs), lo, hi)})
+    breaks = {lo, hi}
+    for b in _roots_between(_deriv(coeffs), lo, hi):
+        breaks.update((b, b + 1))
+    breaks = sorted(breaks)
+    values = [_horner(coeffs, x) for x in breaks]
     roots = []
-    if _horner(coeffs, lo) == 0:
-        roots.append(lo)
-    for a, b in zip(breaks, breaks[1:]):
-        fa, fb = _horner(coeffs, a), _horner(coeffs, b)
-        if fb == 0:
-            roots.append(b)
-        elif fa and (fa > 0) != (fb > 0):
-            roots.append(_bisect(coeffs, a, b, fa))
-    return sorted(set(roots))
-
-
-def _bisect(coeffs: list[Fraction], a: Fraction, b: Fraction,
-            fa: Fraction) -> Fraction:
-    target = Fraction(1, 10 ** 9)
-    while b - a > target:
-        mid = (a + b) / 2
-        fm = _horner(coeffs, mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (fa > 0):
-            a, fa = mid, fm
-        else:
-            b = mid
-    return (a + b) / 2
-
-
-def _polish(coeffs: list[Fraction], x: Fraction) -> float:
-    cf = [float(c) for c in coeffs]
-    df = [float(c) for c in _deriv(coeffs)]
-    xf = float(x)
-    for _ in range(4):
-        d = _horner(df, xf)
-        if d == 0:
-            break
-        xf -= _horner(cf, xf) / d
-    return xf
+    for a, b, fa, fb in zip(breaks, breaks[1:], values, values[1:]):
+        if fa == 0:
+            roots.append(a)
+        elif fb and (fa > 0) != (fb > 0):
+            while b - a > 1:
+                mid = (a + b) // 2
+                fm = _horner(coeffs, mid)
+                if fm == 0:
+                    a = mid
+                    break
+                if (fm > 0) == (fa > 0):
+                    a = mid
+                else:
+                    b = mid
+            roots.append(a)
+    return roots

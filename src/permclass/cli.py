@@ -1,14 +1,16 @@
 """Batch command-line front end.
 
 Subcommands: count, distribution, guess, verify, growth, kernel-check.
-Output formats: text (default), json (schema permclass/1), csv where a
-table is natural.  All output is deterministic for a given invocation.
+Output formats: text (default), json (schema permclass/1), and csv for
+the tables of count and distribution.  All output is deterministic for
+a given invocation.
 
 Exit codes: 0 success; 2 usage, parse or out-of-range input error;
 3 oracle/functional-equation mismatch; 4 node budget exhausted;
-5 verification failed; 6 internal consistency failure; 7 no polynomial
-found; 8 guess gave up: no kernel vector passed the exact check within
-algebraic.MAX_PRIMES primes.
+5 verification failed; 6 internal consistency failure (any other
+ArithmeticError, such as a non-integer count or an inexact division);
+7 no polynomial found; 8 guess gave up: no kernel vector passed the
+exact check within algebraic.MAX_PRIMES primes.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ import sys
 
 from . import algebraic, class_a, class_b, fixtures, oracle, perms
 from .polynomials import MultivariatePolynomial
-from .series import ConsistencyError, UnivariateSeries
+from .series import UnivariateSeries
 
 SCHEMA = "permclass/1"
 
@@ -269,15 +271,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "and Av(1432,2143)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_class=True):
-        p.add_argument("--format", choices=("text", "json", "csv"),
-                       default="text")
+    def common(p, with_class=True, formats=("text", "json")):
+        p.add_argument("--format", choices=formats, default="text")
         if with_class:
             p.add_argument("--class", dest="class_id", required=True,
                            choices=sorted(_CLASSES))
 
     p = sub.add_parser("count", help="counting sequence")
-    common(p)
+    common(p, formats=("text", "json", "csv"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", default="both",
                    choices=("oracle", "functional_equation", "both"))
@@ -285,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("distribution", help="statistic distribution (oracle)")
-    common(p)
+    common(p, formats=("text", "json", "csv"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", choices=sorted(oracle.STATISTICS), default=None)
     p.add_argument("--node-budget", type=int, default=None)
@@ -335,12 +336,12 @@ def main(argv: list[str] | None = None) -> int:
     except oracle.BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_BUDGET
-    except ConsistencyError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return EXIT_INCONSISTENT
     except algebraic.PrimeBudgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRIME_BUDGET
+    except ArithmeticError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return EXIT_INCONSISTENT
     except ValueError as exc:
         # out-of-range input rejected by the library (SeriesError and
         # InsufficientDataError included)

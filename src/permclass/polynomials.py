@@ -262,20 +262,6 @@ class MultivariatePolynomial:
             total = total + term
         return total
 
-    def eval_univariate(self, values: Mapping) -> "MultivariatePolynomial":
-        """Partial evaluation: substitute integers for some variables,
-        returning a polynomial in the rest."""
-        keep = [v for v in self.vars if v not in values]
-        idx = [self.vars.index(v) for v in keep]
-        terms: dict = {}
-        for e, c in self.terms.items():
-            for i, v in enumerate(self.vars):
-                if v in values:
-                    c *= values[v] ** e[i]
-            ne = tuple(e[i] for i in idx)
-            terms[ne] = terms.get(ne, 0) + c
-        return MultivariatePolynomial(keep, terms)
-
     # -- text form ------------------------------------------------------
 
     def _monomial(self, e: tuple[int, ...]) -> str:

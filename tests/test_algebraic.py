@@ -235,15 +235,30 @@ def test_growth_exact_geometric():
 
 def test_growth_exact_quartic_direct():
     roots = algebraic.growth_exact(fixtures.growth_quartic())
-    assert any(abs(r - 5.6317595) < 1e-5 for r in roots)
+    assert roots == [0.836109638399, 5.631759538825]
+
+
+(_Z,) = MultivariatePolynomial.variables("z")
+
+
+@pytest.mark.parametrize("poly, roots", [
+    # roots 10^-11 apart, each in its own bracket
+    ((_Z - 1) * (10 ** 11 * _Z - 10 ** 11 - 1), [1.0, 1.00000000001]),
+    # a double root off the grid is no sign change until made squarefree
+    ((3 * _Z - 1) ** 2 * (_Z - 2), [0.333333333333, 2.0]),
+    ((5 * _Z - 2) * (_Z ** 2 - 2), [0.4, 1.414213562373]),
+    ((32 * _Z - 5) ** 2, [0.15625]),
+], ids=["close_roots", "double_root_off_grid", "irrational", "grid_point"])
+def test_growth_exact_y_free(poly, roots):
+    assert algebraic.growth_exact(poly) == roots
 
 
 def test_class_a_exact_growth(state_a60):
     eq5 = fixtures.eq5_min_poly()
     candidates = algebraic.growth_exact(eq5)
-    # 5/32 is a double root of the discriminant: polishing must run on
-    # the squarefree part to reach float precision there
-    assert any(abs(c - 5 / 32) < 1e-12 for c in candidates)
+    # 5/32 is a double root of the discriminant; on the squarefree part
+    # it is a simple root and a grid point, so it is found exactly
+    assert candidates == [0.15625, 1.0]
     disc = algebraic.discriminant_in_z(eq5)
     assert disc.eval({"z": Fraction(5, 32)}) == 0
     growth = algebraic.reported_growth(candidates, class_a.counts(state_a60))

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from permclass import algebraic, class_a, class_b, cli, fixtures, oracle, perms
-from permclass.polynomials import MultivariatePolynomial
+from permclass.polynomials import MultivariatePolynomial, NotDivisibleError
 from permclass.series import ConsistencyError, UnivariateSeries
 
 from conftest import golden_text
@@ -358,3 +358,33 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
                            "--method", "functional_equation")
     assert code == cli.EXIT_INCONSISTENT
     assert err == "error: non-integer coefficient at z^3\n"
+
+
+@pytest.mark.parametrize("error", [
+    ArithmeticError("P is not linear in y3"),
+    NotDivisibleError("inexact polynomial division"),
+], ids=["arithmetic", "not_divisible"])
+def test_kernel_extraction_failure_exit_code(capsys, monkeypatch, error):
+    def broken():
+        raise error
+    monkeypatch.setattr(algebraic, "kernel_extract", broken)
+    code, out, err = run_cli(capsys, "kernel-check", "--order", "5")
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert err == "error: %s\n" % error
+
+
+@pytest.mark.parametrize("argv", [
+    ("guess", "--class", "class_a", "--terms", "40", "--dy", "3",
+     "--dz", "4"),
+    ("verify", "--class", "class_a", "--fixture", "eq5", "--order", "10"),
+    ("growth", "--class", "class_a"),
+    ("kernel-check",),
+], ids=["guess", "verify", "growth", "kernel_check"])
+def test_csv_only_for_tables(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv) + ["--format", "csv"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "invalid choice: 'csv'" in captured.err

@@ -152,6 +152,4 @@ def test_lift_and_partial_eval():
     p = z * y + y ** 2
     lifted = p.lift(("w", "z", "y"))
     assert lifted.degree("w") == 0
-    assert lifted.eval_univariate({"w": 1}) == p
-    assert p.eval_univariate({"y": 2}) == \
-        MultivariatePolynomial(("z",), {(1,): 2, (0,): 4})
+    assert lifted.coefficient_in("w", 0) == p
