@@ -47,18 +47,11 @@ def omega_apply(w: BivariateSeries, f: BivariateSeries,
     (H computed top-down), which needs one univariate product per
     t-power instead of one per monomial.
     """
-    order = w.order
-    tmax = max(len(r) for r in w.c) - 1
-    cols = [UnivariateSeries([w.coefficient(n, j) for n in range(order + 1)],
-                             order)
-            for j in range(tmax + 1)]
-    h = [None] * (tmax + 1)
-    h[tmax] = cols[tmax]
-    for j in range(tmax - 1, -1, -1):
-        h[j] = cols[j] + f1 * h[j + 1]
-    g = BivariateSeries([[h[j].c[n] for j in range(tmax + 1)]
-                         for n in range(order + 1)], order)
-    pref = UnivariateSeries.geometric(1, order).shift(1)  # z/(1-z)
+    h = w.columns()
+    for j in range(len(h) - 2, -1, -1):
+        h[j] = h[j] + f1 * h[j + 1]
+    g = BivariateSeries.from_columns(h)
+    pref = UnivariateSeries.geometric(1, w.order).shift(1)  # z/(1-z)
     return ((f - 1) * g) * pref
 
 

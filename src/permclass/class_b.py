@@ -67,50 +67,29 @@ def s_series(order: int) -> BivariateSeries:
     return term1 + term2 + term3
 
 
-def _columns(w: BivariateSeries) -> tuple[int, list[list]]:
-    """(tmax, column list): column j holds the z-coefficients of t^j."""
-    tmax = max(len(r) for r in w.c) - 1
-    cols = [[w.coefficient(n, j) for n in range(w.order + 1)]
-            for j in range(tmax + 1)]
-    return tmax, cols
-
-
-def _suffix_sums(w: BivariateSeries) -> tuple[int, list[UnivariateSeries]]:
-    """S_j(z) = sum_{k >= j} w_k(z) for j = 0..tmax+1 (last one zero)."""
-    tmax, cols = _columns(w)
-    sums: list[UnivariateSeries] = [UnivariateSeries.zero(w.order)]
-    acc = [0] * (w.order + 1)
-    out = []
-    for j in range(tmax, -1, -1):
-        acc = [a + b for a, b in zip(acc, cols[j])]
-        out.append(UnivariateSeries(list(acc), w.order))
-    sums = out[::-1] + [UnivariateSeries.zero(w.order)]
-    return tmax, sums
-
-
-def _from_columns(cols: list[UnivariateSeries],
-                  order: int) -> BivariateSeries:
-    return BivariateSeries([[col.c[n] for col in cols]
-                            for n in range(order + 1)], order)
+def _suffix_sums(w: BivariateSeries) -> list[UnivariateSeries]:
+    """S_j(z) = sum_{k >= j} w_k(z) for j = 0..deg_t w + 1 (last one
+    zero), w_k the t^k column of w."""
+    sums = [UnivariateSeries.zero(w.order)]
+    for col in reversed(w.columns()):
+        sums.append(col + sums[-1])
+    return sums[::-1]
 
 
 def phi_apply(w: BivariateSeries, s: BivariateSeries) -> BivariateSeries:
     """Phi[w] = s(z,t) * sum_j t^j S_j with S_j the suffix column sums."""
-    tmax, sums = _suffix_sums(w)
-    return s * _from_columns(sums[:tmax + 1], w.order)
+    return s * BivariateSeries.from_columns(_suffix_sums(w))
 
 
 def theta_apply(w: BivariateSeries) -> BivariateSeries:
     """Theta[w] = sum_{j>=1} t^j S_j (the t^0 monomial maps to zero)."""
-    tmax, sums = _suffix_sums(w)
-    cols = [UnivariateSeries.zero(w.order)] + sums[1:tmax + 1]
-    return _from_columns(cols, w.order)
+    return BivariateSeries.from_columns(
+        [UnivariateSeries.zero(w.order)] + _suffix_sums(w)[1:])
 
 
 def psi_apply(w: BivariateSeries) -> BivariateSeries:
     """Psi[w] = [t^2 z^4 / ((1-z)^2 (1-tz)(1-(1+t)z))] sum_j t^j S_{j+1}."""
-    tmax, sums = _suffix_sums(w)
-    body = _from_columns(sums[1:tmax + 1] or [sums[-1]], w.order)
+    body = BivariateSeries.from_columns(_suffix_sums(w)[1:])
     order = w.order
     inv_z = UnivariateSeries.geometric(1, order)
     inv_tz = BivariateSeries.geometric_tz(order)
@@ -129,14 +108,13 @@ def xi_apply(w: BivariateSeries) -> BivariateSeries:
     """Xi[w] = [tz/(1-tz)] sum_i t^i H_i with
     H_i = sum_{k>=i+1} w_k /(1-z)^{k-1-i}, computed by the top-down
     chain H_i = w_{i+1} + H_{i+1}/(1-z)."""
-    tmax, cols = _columns(w)
     order = w.order
-    ucols = [UnivariateSeries(c, order) for c in cols]
+    cols = w.columns()
     inv_z = UnivariateSeries.geometric(1, order)
-    h = [UnivariateSeries.zero(order)] * (tmax + 1)
-    for i in range(tmax - 1, -1, -1):
-        h[i] = ucols[i + 1] + inv_z * h[i + 1]
-    body = _from_columns(h if tmax else [h[0]], order)
+    h = [UnivariateSeries.zero(order)] * len(cols)
+    for i in range(len(cols) - 2, -1, -1):
+        h[i] = cols[i + 1] + inv_z * h[i + 1]
+    body = BivariateSeries.from_columns(h)
     pref = BivariateSeries.geometric_tz(order).shift(1).mul_tpoly([0, 1])
     return pref * body
 
@@ -144,26 +122,32 @@ def xi_apply(w: BivariateSeries) -> BivariateSeries:
 def iterate(n_max: int) -> ClassBState:
     """Compute f exactly to order n_max, one row at a time.
 
-    Row n of f is 1 (at n = 0) plus row n of s * A, of the Psi
-    prefactor times B and of tz/(1-tz) times sum_i t^i H_i, where A
-    holds the column suffix sums of f, B those of Theta[f] from t^1
-    on, and H the Xi chain over Lambda[f] = z/(1-2z) Theta[f].  Each
-    needs rows of f below n only.  The three terms of s divide A by
-    linear factors only, so s * A, like the other two, comes from
-    one-row recurrences: O(n) coefficient operations for row n.
+    Row n of f is 1 (at n = 0) plus row n of s * A + Psi[Theta[f]]
+    and of tz/(1-tz) times sum_i t^i H_i, where A holds the column
+    suffix sums of f, B those of Theta[f] from t^1 on, Psi[Theta[f]] is
+    the Psi prefactor times B, and H is the Xi chain over
+    Lambda[f] = z/(1-2z) Theta[f].  Each needs rows of f below n only.
+    The terms of s and the Psi prefactor divide by linear factors only,
+    and the t^2 z^5 term of s shares its denominator with the Psi
+    prefactor, so
+
+        s * A + Psi[Theta[f]] = z q1 + t z^3 q2 + t^2 z^4 p,
+        q1 = A/(1-tz),  q2 = q1/((1-2z)(1-tz)),
+        p = (z q1 + B)/((1-z)^2 (1-tz) (1-(1+t)z)),
+
+    three one-row recurrences, each fed rows already made: O(n)
+    coefficient operations for row n, nine products by a linear
+    factor in all.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
     """
     if n_max < 0:
         raise ValueError("order must be >= 0, got %d" % n_max)
-    # s * A = z q1 + t z^3 q2 + t^2 z^5 q3, term by term as in s_series
     q1 = OnlineQuotient([0, 1])
-    q2 = OnlineQuotient([2], [0, 1], [0, 1])
-    q3 = OnlineQuotient([1], [1], [0, 1], [0, 1], [1, 1])
+    q2 = OnlineQuotient([2], [0, 1])
+    p = OnlineQuotient([1], [1], [0, 1], [1, 1])
     f = []
-    # B / ((1-z)^2 (1-tz) (1-(1+t)z)), which is Psi[Theta[f]] / (t^2 z^4)
-    psi = OnlineQuotient([1], [1], [0, 1], [1, 1])
     lam = OnlineQuotient([2])     # Theta[f] / (1-2z) = Lambda[f] / z
     xi = OnlineQuotient([0, 1])   # sum_i t^i H_i / (1-tz) = Xi[...] / (tz)
     q = [0]                       # running z-sums of the H_i
@@ -174,14 +158,13 @@ def iterate(n_max: int) -> ClassBState:
         else:
             row = tpoly_sum(q1.rows[n - 1],
                             ([0] + q2.rows[n - 3]) if n >= 3 else [0],
-                            ([0, 0] + q3.rows[n - 5]) if n >= 5 else [0],
-                            ([0, 0] + psi.rows[n - 4]) if n >= 4 else [0],
+                            ([0, 0] + p.rows[n - 4]) if n >= 4 else [0],
                             [0] + xi.rows[n - 1])
         f.append(row)
         a = _suffix_sums_row(row)               # row n of A
-        for quotient in (q1, q2, q3):
-            quotient.push(a)
-        psi.push(_suffix_sums_row(a[1:]))       # row n of B
+        q2.push(q1.push(a))
+        b = _suffix_sums_row(a[1:])             # row n of B
+        p.push(tpoly_sum(q1.rows[n - 1], b) if n else b)
         # row n of Theta[f] gives row n+1 of Lambda[f], hence of H
         theta = [0] + a[1:]
         xi.push(_xi_chain_row(lam.push(theta), q))

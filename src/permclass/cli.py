@@ -67,14 +67,14 @@ def _fe_counts(class_id: str, n: int) -> list[int]:
 
 def _series_for(class_id: str, source: str, order: int) -> UnivariateSeries:
     _, mod = _CLASSES[class_id]
+    if source not in ("f1", "fskew_at_f1"):
+        raise CliError("unknown series source %r" % source, 2)
+    if source == "fskew_at_f1" and class_id != "class_a":
+        raise CliError("fskew_at_f1 only exists for class_a", 2)
     state = mod.iterate(order)
     if source == "f1":
         return state.f.subst_t(1)
-    if source == "fskew_at_f1":
-        if class_id != "class_a":
-            raise CliError("fskew_at_f1 only exists for class_a", 2)
-        return class_a.fskew_at_f1(state)
-    raise CliError("unknown series source %r" % source, 2)
+    return class_a.fskew_at_f1(state)
 
 
 def cmd_count(args) -> int:

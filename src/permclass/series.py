@@ -1,10 +1,16 @@
 """Exact truncated power series in z, univariate or with polynomial-in-t
 coefficients.
 
-Coefficients are exact rationals (Python ints or Fractions; all
-arithmetic stays exact).  Every binary operation truncates to the
-minimum order of its operands and never extends an operand with
-fabricated zeros.
+Three invariants hold for every series built here:
+
+- Coefficients are exact rationals: Python ints (bools included) or
+  Fractions.  The constructor checks each list it is given once and
+  raises SeriesError on anything else, a float or an int subclass.
+- A bivariate row (the z^n coefficient, a polynomial in t) carries no
+  trailing zeros, and the zero row is [0].  The constructor trims every
+  row, so equal series have equal row lists.
+- Every binary operation truncates to the smaller order of its operands
+  and never extends an operand with fabricated zeros.
 """
 from __future__ import annotations
 
@@ -14,6 +20,8 @@ from typing import Sequence, Union
 from . import _kernels
 
 Coeff = Union[int, Fraction]
+
+_EXACT = frozenset((int, bool, Fraction))
 
 
 class SeriesError(ValueError):
@@ -25,38 +33,81 @@ class ConsistencyError(ArithmeticError):
     no longer counts anything."""
 
 
-def _as_exact(x) -> Coeff:
-    if isinstance(x, (int, Fraction)):
-        return x
-    raise SeriesError("coefficients must be exact rationals, got %r" % (x,))
+def _check_exact(values: list) -> list:
+    """``values`` itself, once every entry is an int, bool or Fraction."""
+    if not _EXACT.issuperset(map(type, values)):
+        bad = next(x for x in values if type(x) not in _EXACT)
+        raise SeriesError("coefficients must be exact rationals, got %r"
+                          % (bad,))
+    return values
 
 
-class UnivariateSeries:
-    """A power series in z truncated at order N (coefficients of
-    z^0..z^N are known)."""
+class _Series:
+    """What both series types share: the truncation order N, the list
+    ``c`` of the coefficients of z^0..z^N, and the operations that only
+    move or compare those coefficients.  A subclass names its zero and
+    one coefficient in ``_ZERO`` and ``_ONE``."""
 
     __slots__ = ("order", "c")
 
+    @classmethod
+    def zero(cls, order: int):
+        return cls([cls._ZERO], order)
+
+    @classmethod
+    def one(cls, order: int):
+        return cls([cls._ONE], order)
+
+    def _common(self, other: "_Series") -> int:
+        return min(self.order, other.order)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def shift(self, k: int):
+        """Multiply by z^k (truncation order unchanged)."""
+        return type(self)([self._ZERO] * k + self.c, self.order)
+
+    def truncate(self, order: int):
+        if order > self.order:
+            raise SeriesError("cannot extend truncation order")
+        return type(self)(self.c[:order + 1], order)
+
+    def valuation(self) -> int:
+        """z-order of the first nonzero coefficient; order+1 if zero."""
+        for n, x in enumerate(self.c):
+            if x != self._ZERO:
+                return n
+        return self.order + 1
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.order == other.order and self.c == other.c
+
+
+class UnivariateSeries(_Series):
+    """A power series in z truncated at order N (coefficients of
+    z^0..z^N are known)."""
+
+    __slots__ = ()
+    _ZERO, _ONE = 0, 1
+
     def __init__(self, coeffs: Sequence[Coeff], order: int | None = None):
-        coeffs = [_as_exact(x) for x in coeffs]
+        coeffs = _check_exact(list(coeffs))
         if order is None:
             order = len(coeffs) - 1
         if order < 0:
             raise SeriesError("truncation order must be >= 0")
-        coeffs = coeffs[:order + 1]
+        del coeffs[order + 1:]
         coeffs += [0] * (order + 1 - len(coeffs))
         self.order = order
         self.c = coeffs
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "UnivariateSeries":
-        return cls([0], order)
-
-    @classmethod
-    def one(cls, order: int) -> "UnivariateSeries":
-        return cls([1], order)
 
     @classmethod
     def z(cls, order: int) -> "UnivariateSeries":
@@ -72,9 +123,6 @@ class UnivariateSeries:
 
     # -- ring operations ---------------------------------------------
 
-    def _common(self, other: "UnivariateSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             out = list(self.c)
@@ -88,12 +136,6 @@ class UnivariateSeries:
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __neg__(self):
         return UnivariateSeries([-x for x in self.c], self.order)
 
@@ -106,10 +148,6 @@ class UnivariateSeries:
         return UnivariateSeries(_kernels.series_mul(self.c, other.c, n), n)
 
     __rmul__ = __mul__
-
-    def shift(self, k: int) -> "UnivariateSeries":
-        """Multiply by z^k (truncation order unchanged)."""
-        return UnivariateSeries([0] * k + self.c, self.order)
 
     def inverse(self) -> "UnivariateSeries":
         """Multiplicative inverse; requires a unit constant term."""
@@ -135,24 +173,6 @@ class UnivariateSeries:
         if n > self.order:
             raise SeriesError("coefficient beyond truncation order")
         return self.c[n]
-
-    def truncate(self, order: int) -> "UnivariateSeries":
-        if order > self.order:
-            raise SeriesError("cannot extend truncation order")
-        return UnivariateSeries(self.c[:order + 1], order)
-
-    def valuation(self) -> int:
-        """z-order of the first nonzero coefficient; order+1 if zero."""
-        for n, x in enumerate(self.c):
-            if x:
-                return n
-        return self.order + 1
-
-    def __eq__(self, other):
-        if not isinstance(other, UnivariateSeries):
-            return NotImplemented
-        return self.order == other.order and all(
-            a == b for a, b in zip(self.c, other.c))
 
     def __repr__(self):
         head = ", ".join(str(x) for x in self.c[:6])
@@ -218,9 +238,9 @@ class OnlineQuotient:
         return row
 
 
-class BivariateSeries:
+class BivariateSeries(_Series):
     """A power series in z whose z^n coefficient is an exact polynomial
-    in the catalytic variable t.
+    in the catalytic variable t, kept as a trimmed row of coefficients.
 
     For the counting series the t-degree of the z^n coefficient is at
     most n; the representation does not force this (polynomial inputs
@@ -228,29 +248,24 @@ class BivariateSeries:
     invariant.
     """
 
-    __slots__ = ("order", "c")
+    __slots__ = ()
+    _ZERO, _ONE = [0], [1]
 
     def __init__(self, tpolys: Sequence[Sequence[Coeff]],
                  order: int | None = None):
-        rows = [[_as_exact(x) for x in row] for row in tpolys]
+        # copying every row keeps the shared [0] of zero() and shift()
+        # out of the result
+        rows = [_check_exact(list(row)) for row in tpolys]
         if order is None:
             order = len(rows) - 1
         if order < 0:
             raise SeriesError("truncation order must be >= 0")
-        rows = rows[:order + 1]
+        del rows[order + 1:]
         rows += [[0] for _ in range(order + 1 - len(rows))]
         self.order = order
-        self.c = [_tpoly_trim(r if r else [0]) for r in rows]
+        self.c = [_tpoly_trim(r or [0]) for r in rows]
 
     # -- constructors ------------------------------------------------
-
-    @classmethod
-    def zero(cls, order: int) -> "BivariateSeries":
-        return cls([[0]], order)
-
-    @classmethod
-    def one(cls, order: int) -> "BivariateSeries":
-        return cls([[1]], order)
 
     @classmethod
     def t_monomial(cls, k: int, order: int) -> "BivariateSeries":
@@ -266,10 +281,20 @@ class BivariateSeries:
     def from_univariate(cls, u: UnivariateSeries) -> "BivariateSeries":
         return cls([[x] for x in u.c], u.order)
 
-    # -- ring operations ---------------------------------------------
+    @classmethod
+    def from_columns(cls, cols: Sequence[UnivariateSeries]
+                     ) -> "BivariateSeries":
+        """sum_j t^j cols[j], to the smallest order among the columns.
 
-    def _common(self, other: "BivariateSeries") -> int:
-        return min(self.order, other.order)
+        >>> u = UnivariateSeries
+        >>> BivariateSeries.from_columns([u([1, 0, 3]), u([0, 2, 0])]).c
+        [[1], [0, 2], [3]]
+        """
+        order = min(col.order for col in cols)
+        return cls([[col.c[n] for col in cols] for n in range(order + 1)],
+                   order)
+
+    # -- ring operations ---------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -283,12 +308,6 @@ class BivariateSeries:
             [tpoly_sum(self.c[i], other.c[i]) for i in range(n + 1)], n)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
 
     def __neg__(self):
         return BivariateSeries([[-x for x in r] for r in self.c], self.order)
@@ -314,15 +333,10 @@ class BivariateSeries:
             rows.append(acc)
         return BivariateSeries(rows, self.order)
 
-    def shift(self, k: int) -> "BivariateSeries":
-        """Multiply by z^k."""
-        return BivariateSeries([[0]] * k + [list(r) for r in self.c],
-                               self.order)
-
     def inverse(self) -> "BivariateSeries":
         """Inverse when the z^0 coefficient is a nonzero constant."""
         head = self.c[0]
-        if len(_tpoly_trim(list(head))) != 1 or head[0] == 0:
+        if len(head) != 1 or head[0] == 0:
             raise SeriesError(
                 "bivariate inverse needs a constant unit z^0 coefficient")
         a0 = head[0]
@@ -334,16 +348,26 @@ class BivariateSeries:
             rows.append([-x * inv0 for x in row_product(tail, rows, n - 1)])
         return BivariateSeries(rows, self.order)
 
-    # -- substitutions and derivatives -------------------------------
+    # -- columns, substitutions and derivatives ----------------------
+
+    def columns(self) -> list[UnivariateSeries]:
+        """The t^j columns C_j(z) of f = sum_j t^j C_j, j = 0..deg_t f.
+
+        >>> BivariateSeries([[1], [0, 2], [3]], 2).columns()[1]
+        UnivariateSeries([0, 2, 0], order=2)
+        """
+        rows = self.c
+        return [UnivariateSeries([r[j] if j < len(r) else 0 for r in rows],
+                                 self.order)
+                for j in range(max(len(r) for r in rows))]
 
     def subst_t(self, value) -> UnivariateSeries:
         """Substitute for t either the constant 1 or a univariate series
         with nonzero constant term; exact, no truncation loss.
 
-        For a series, f = sum_j t^j C_j(z) with C_j the t^j column of
-        rows 0..n, n the smaller order, and Horner runs over the columns:
-        out = C_d, then out = out * value + C_j for j = d-1..0, so the
-        substitution costs deg_t f products of length n.
+        For a series, Horner runs over the columns C_j of f truncated to
+        the smaller order: out = C_d, then out = out * value + C_j for
+        j = d-1..0, so the substitution costs deg_t f products.
         """
         if value == 1:
             return UnivariateSeries([sum(r) for r in self.c], self.order)
@@ -352,17 +376,10 @@ class BivariateSeries:
         if value.c[0] == 0:
             raise SeriesError("subst_t series target needs nonzero "
                               "constant term")
-        n = min(self.order, value.order)
-        rows = self.c[:n + 1]
-
-        def column(j: int) -> UnivariateSeries:
-            return UnivariateSeries([r[j] if j < len(r) else 0
-                                     for r in rows], n)
-
-        d = max(len(r) for r in rows) - 1
-        out = column(d)
-        for j in range(d - 1, -1, -1):
-            out = out * value + column(j)
+        cols = self.truncate(self._common(value)).columns()
+        out = cols.pop()
+        for col in reversed(cols):
+            out = out * value + col
         return out
 
     def deriv_t_at_1(self) -> UnivariateSeries:
@@ -379,30 +396,6 @@ class BivariateSeries:
         row = self.c[n]
         return row[k] if k < len(row) else 0
 
-    def truncate(self, order: int) -> "BivariateSeries":
-        if order > self.order:
-            raise SeriesError("cannot extend truncation order")
-        return BivariateSeries([list(r) for r in self.c[:order + 1]], order)
-
-    def valuation(self) -> int:
-        """z-order of the first nonzero row; order+1 if zero."""
-        for n, row in enumerate(self.c):
-            if any(row):
-                return n
-        return self.order + 1
-
-    def __eq__(self, other):
-        if not isinstance(other, BivariateSeries):
-            return NotImplemented
-        if self.order != other.order:
-            return False
-        for a, b in zip(self.c, other.c):
-            m = max(len(a), len(b))
-            for j in range(m):
-                if (a[j] if j < len(a) else 0) != (b[j] if j < len(b) else 0):
-                    return False
-        return True
-
     def __repr__(self):
         return "BivariateSeries(order=%d)" % self.order
 
@@ -413,7 +406,7 @@ def check_counting(*series: BivariateSeries) -> None:
     series counting permutations by length and a statistic."""
     for f in series:
         for n, row in enumerate(f.c):
-            if len(row) - 1 > n and any(row[n + 1:]):
+            if len(row) - 1 > n:
                 raise ConsistencyError(
                     "t-degree exceeds length at z^%d" % n)
             for x in row:

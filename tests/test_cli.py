@@ -287,6 +287,57 @@ def test_growth_class_b_json(capsys):
     assert abs(payload["exact_growth"] - 5.6317595) < 1e-5
 
 
+GROWTH_30 = {
+    "class_a": ("ratio estimate: 5.899638\n"
+                "extrapolated estimate: 6.368114\n"
+                "singularity candidates: 0.156250000, 1.000000000\n"
+                "exact growth: 6.400000 (32/5 at singularity 5/32)\n",
+                {"candidates": [0.15625, 1.0], "class": "class_a",
+                 "command": "growth", "exact_growth": 6.4,
+                 "extrapolated": 6.368114007421383,
+                 "note": "singularity 5/32, growth 32/5",
+                 "ratio": 5.899637871557584, "schema": "permclass/1",
+                 "terms": 30}),
+    "class_b": ("ratio estimate: 5.351028\n"
+                "extrapolated estimate: 5.630894\n"
+                "growth quartic roots: 0.836109638, 5.631759539\n"
+                "exact growth: 5.631760 (root of the quartic)\n",
+                {"class": "class_b", "command": "growth",
+                 "exact_growth": 5.631759538825,
+                 "extrapolated": 5.630894408394084,
+                 "quartic_roots": [0.836109638399, 5.631759538825],
+                 "ratio": 5.351028340042421, "schema": "permclass/1",
+                 "terms": 30}),
+}
+
+
+@pytest.mark.parametrize("class_id", sorted(GROWTH_30))
+def test_growth_terms_30_exact_output(capsys, class_id):
+    text, payload = GROWTH_30[class_id]
+    code, out, err = run_cli(capsys, "growth", "--class", class_id,
+                             "--terms", "30")
+    assert (code, out, err) == (0, text, "")
+    code, out, err = run_cli(capsys, "growth", "--class", class_id,
+                             "--terms", "30", "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == payload
+
+
+@pytest.mark.parametrize("command", [
+    ("verify", "--fixture", "eq6", "--order", "1500"),
+    ("guess", "--terms", "1500", "--dy", "3", "--dz", "4"),
+], ids=["verify", "guess"])
+def test_fskew_at_f1_for_class_b_rejected_before_iterating(
+        capsys, monkeypatch, command):
+    def iterate(n_max):
+        raise AssertionError("iterate called")
+    monkeypatch.setattr(class_b, "iterate", iterate)
+    code, out, err = run_cli(capsys, *command, "--class", "class_b",
+                             "--series", "fskew_at_f1")
+    assert (code, out) == (2, "")
+    assert err == "error: fskew_at_f1 only exists for class_a\n"
+
+
 def test_kernel_check(capsys):
     code, out, _ = run_cli(capsys, "kernel-check", "--order", "15")
     assert code == 0

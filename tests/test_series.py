@@ -192,3 +192,30 @@ def test_deriv_t_at_1():
 def test_exact_rational_coefficients_rejected():
     with pytest.raises(SeriesError):
         UnivariateSeries([0.5], 0)
+    # the error names the first coefficient that is not exact
+    for make in (lambda: UnivariateSeries([1, 2, 0.5, 0.25]),
+                 lambda: BivariateSeries([[0.5]]),
+                 lambda: BivariateSeries([[1], [2], [1, 2, 0.5, 0.25]])):
+        with pytest.raises(SeriesError, match="got 0.5$"):
+            make()
+
+
+@given(exact_rows, st.integers(min_value=0, max_value=3))
+def test_rows_with_trailing_zeros_are_canonical(rows, pad):
+    order = len(rows) - 1
+    padded = [row + [0] * pad for row in rows]
+    f, g = BivariateSeries(rows, order), BivariateSeries(padded, order)
+    assert f == g and f.c == g.c
+    assert all(len(r) == 1 or r[-1] != 0 for r in g.c)
+    zero_rows = [[0] * (pad + 1)] * (order + 1)
+    assert BivariateSeries(zero_rows, order).valuation() == order + 1
+    assert g.valuation() == next(
+        (n for n, r in enumerate(rows) if any(r)), order + 1)
+
+
+@given(exact_rows)
+def test_columns_round_trip(rows):
+    f = BivariateSeries(rows)
+    cols = f.columns()
+    assert all(col.order == f.order for col in cols)
+    assert BivariateSeries.from_columns(cols) == f
