@@ -1,9 +1,22 @@
 """The hot kernels: series convolutions and the oracle's avoidance
-scans for the two classes.
+masks for the two classes.
 
 Coefficients are arbitrary Python numbers (ints or Fractions), so the
 convolutions are exact object arithmetic.  The scans take permutations
 as lists of the values 1..n.
+
+The oracle walk never scans a child: the forbidden mask of p+v (bit w
+set when appending w makes an occurrence ending at w) is
+
+    mask(p+v) = split(mask(p), v) | ext_p[v],
+
+where ``split`` (see ``split_mask``) carries p's own occurrences over,
+gap v split in two, and ``ext_p[v]``, one interval, covers the
+occurrences that use v as the third of their four entries.
+``class_{a,b}_extensions`` give ``ext_p`` for every v in one O(n) pass
+over p.  The full scans ``class_{a,b}_forbidden`` stay as a reference
+for the tests, and the child checks built on them because
+``perfbench/tracing.py`` wraps them by name; the walk calls neither.
 """
 from __future__ import annotations
 
@@ -106,3 +119,87 @@ def class_b_forbidden(p: list) -> int:
                 forbid |= (2 << top) - (2 << succ)
         seen |= 1 << pj
     return forbid
+
+
+def split_mask(m: int, v: int) -> int:
+    """The forbidden mask of p as seen from p+v: bits below v stay and
+    bits from v up move up by one, bit v going to both v and v+1.  An
+    occurrence in p+v+w that avoids v is one in p+w', and gap w' = v of
+    p is split by v into gaps v and v+1."""
+    return (m & ((2 << v) - 1)) | (m >> v << (v + 1))
+
+
+def class_a_extensions(p: list) -> list:
+    """``ext[v]`` for v in 1..n+1 (index 0 unused): as a bit mask, the
+    values w whose appending to p+v (p's entries >= v raised by one)
+    makes an occurrence of 2413 or 3412 with v as its third entry.
+
+    Write q = p+v, so q_k = v and q_i = p_i + 1 > v for p_i >= v.  An
+    occurrence 2413 is q_k < q_i < w <= q_j with i < j < k, that is an
+    ascent p_i < p_j with p_i >= v and w in (p_i+1, p_j+1]; 3412 is
+    q_k < w <= q_i < q_j, the same ascents with w in (v, p_i+1].  Their
+    union over all such ascents is (v, P+1], P the largest p_j topping
+    an ascent p_i < p_j with p_i >= v.  The largest top over ascents
+    from a given p_i is the maximum after it, when that is larger; one
+    right-to-left pass records it per value, and P is its running
+    maximum over the values from n down to v.
+    """
+    n = len(p)
+    top = [0] * (n + 2)     # top[a]: the maximum after a, when above a
+    high = 0
+    for a in reversed(p):
+        if high > a:
+            top[a] = high
+        else:
+            high = a
+    ext = [0] * (n + 2)
+    big = 0                 # P for the current v, 0 for none
+    for v in range(n, 0, -1):
+        if top[v] > big:
+            big = top[v]
+        if big:
+            ext[v] = (4 << big) - (2 << v)
+    return ext
+
+
+def class_b_extensions(p: list) -> list:
+    """Like ``class_a_extensions`` for 1432 and 2143.
+
+    With q = p+v and q_k = v: 1432 is q_i < w <= q_k < q_j, that is
+    p_i < v with a later p_j >= v and w in (p_i, v]; 2143 is
+    q_j < q_i < w <= q_k, that is p_i < v with a later entry below it
+    and w in (p_i, v].  The union is (m, v], m the least such p_i.
+    Two kinds of p_i qualify:
+
+      - one with a later entry below it, for every v > p_i; the least
+        of these is g, so g qualifies exactly when v > g;
+      - a right-to-left minimum, when v <= the maximum after it.  The
+        leftmost right-to-left minimum, the entry 1, has both the
+        least value and the largest maximum after it, M1, so wherever
+        another one qualifies 1 does too: m = 1 when 1 < v <= M1.
+
+    So ext[v] is (1, v] for 1 < v <= M1, else (g, v] for v > g, else
+    empty.  One right-to-left pass finds g and M1.
+    """
+    n = len(p)
+    g = n + 1               # least entry with a smaller entry after it
+    m1 = 0                  # maximum after the entry 1 (0 if it is last)
+    low = n + 1
+    high = 0
+    for a in reversed(p):
+        if a > low:
+            if a < g:
+                g = a
+        else:
+            low = a
+            if a == 1:
+                m1 = high
+        if a > high:
+            high = a
+    ext = [0] * (n + 2)
+    for v in range(2, n + 2):
+        if v <= m1:
+            ext[v] = (2 << v) - 4
+        elif v > g:
+            ext[v] = (2 << v) - (2 << g)
+    return ext

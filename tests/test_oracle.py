@@ -69,13 +69,57 @@ def test_budget_exhaustion_raises():
         oracle.enumerate_avoiders(CLASS_A_BASIS, 9, node_budget=100)
 
 
+def _run_budgeted(name, basis, n_max, budget):
+    if name == "enumerate_avoiders":
+        return oracle.enumerate_avoiders(basis, n_max, node_budget=budget)
+    if name == "statistic_distribution":
+        return oracle.statistic_distribution(
+            basis, n_max, "marked_trailing_run", node_budget=budget)
+    return oracle.single_slice_distribution(basis, n_max, node_budget=budget)
+
+
 def test_budget_counts_candidate_children():
-    """The budget is spent on every candidate child, n per avoider of
-    length n - 1: sum(n * counts[n - 1], n = 1..6) = 683 for class A."""
+    """The budget is spent on every candidate child: 1 for the empty
+    avoider, and n - first + 1 per avoider of length n - 1 >= 1, also
+    at the last two lengths, which are counted without being built."""
+    for basis in (CLASS_A_BASIS, CLASS_B_BASIS):
+        for name, first in (("enumerate_avoiders", 1),
+                            ("statistic_distribution", 1),
+                            ("single_slice_distribution", 2)):
+            counts = _run_budgeted(name, basis, 7, None).counts
+            exact = 1 + sum((n - first + 1) * counts[n - 1]
+                            for n in range(2, 8))
+            assert _run_budgeted(name, basis, 7, exact).counts == counts
+            with pytest.raises(oracle.BudgetExceededError,
+                               match="generating length 7;"):
+                _run_budgeted(name, basis, 7, exact - 1)
+            # depth first, the first length-6 spend follows one spend
+            # per length 1..5, each of a whole set of candidates
+            first_path = 1 + sum(n - first + 1 for n in range(2, 6))
+            with pytest.raises(oracle.BudgetExceededError,
+                               match="generating length 6;"):
+                _run_budgeted(name, basis, 7, first_path)
+            with pytest.raises(oracle.BudgetExceededError,
+                               match="generating length 5;"):
+                _run_budgeted(name, basis, 7, first_path - 1)
     rep = oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=683)
     assert sum(n * rep.counts[n - 1] for n in range(1, 7)) == 683
     with pytest.raises(oracle.BudgetExceededError):
         oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=682)
+
+
+@pytest.mark.parametrize("stat", sorted(oracle._STEPS))
+def test_step_constant_on_each_value_class(stat):
+    """The last length is tallied by popcount over the appended values
+    1, 2..last and last+1..n+1, so every step must be constant on each
+    (the empty parent's last entry is taken as 1)."""
+    step = oracle._STEPS[stat]
+    for n in range(8):
+        for last in range(max(n, 1) + 1):
+            for s in range(n + 2):
+                for values in ([1], range(2, last + 1),
+                               range(max(last + 1, 2), n + 2)):
+                    assert len({step(n, last, s, v) for v in values}) <= 1
 
 
 def test_budget_env_override(monkeypatch):
@@ -88,6 +132,11 @@ def test_budget_env_override(monkeypatch):
 def test_counts_serialization_round_trip():
     rep = oracle.enumerate_avoiders(CLASS_B_BASIS, 5)
     assert oracle.parse_counts(rep.serialize_counts()) == rep.counts
+
+
+def test_counts_out_of_order_rejected():
+    with pytest.raises(ValueError, match="out of order"):
+        oracle.parse_counts("0\t1\n2\t2\n1\t1\n")
 
 
 def test_unknown_statistic_rejected():
