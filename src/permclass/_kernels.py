@@ -5,17 +5,20 @@ Coefficients are arbitrary Python numbers (ints or Fractions), so the
 convolutions are exact object arithmetic.  The scans take permutations
 as lists of the values 1..n.
 
-The oracle walk never scans a child: the forbidden mask of p+v (bit w
-set when appending w makes an occurrence ending at w) is
+The oracle walk never holds a permutation: the forbidden mask of p+v
+(bit w set when appending w makes an occurrence ending at w) is
 
     mask(p+v) = split(mask(p), v) | ext_p[v],
 
 where ``split`` (see ``split_mask``) carries p's own occurrences over,
 gap v split in two, and ``ext_p[v]``, one interval, covers the
-occurrences that use v as the third of their four entries.
-``class_{a,b}_extensions`` give ``ext_p`` for every v in one O(n) pass
-over p.  The full scans ``class_{a,b}_forbidden`` stay as a reference
-for the tests, and the child checks built on them because
+occurrences that use v as the third of their four entries.  ``ext_p``
+is a function of a small state of p: P(1..n+1) for class A, (g, M1)
+for class B.  ``class_{a,b}_ext`` give ``ext_p`` for every v from the
+state in O(n), and ``class_{a,b}_child`` the state of p+v from that of
+p, so avoiders with equal masks and states have equal subtrees.  The
+full scans ``class_{a,b}_forbidden`` stay as a reference for the
+tests, and the child checks built on them because
 ``perfbench/tracing.py`` wraps them by name; the walk calls neither.
 """
 from __future__ import annotations
@@ -129,41 +132,45 @@ def split_mask(m: int, v: int) -> int:
     return (m & ((2 << v) - 1)) | (m >> v << (v + 1))
 
 
-def class_a_extensions(p: list) -> list:
+def class_a_ext(state: tuple, n: int) -> list:
     """``ext[v]`` for v in 1..n+1 (index 0 unused): as a bit mask, the
-    values w whose appending to p+v (p's entries >= v raised by one)
-    makes an occurrence of 2413 or 3412 with v as its third entry.
+    values w whose appending to p+v (p of length n, its entries >= v
+    raised by one) makes an occurrence of 2413 or 3412 with v as its
+    third entry.  ``state`` is P(1..n+1) of p: P(u) is the largest top
+    p_j of an ascent p_i < p_j (i < j) with p_i >= u, or 0 for none.
 
     Write q = p+v, so q_k = v and q_i = p_i + 1 > v for p_i >= v.  An
     occurrence 2413 is q_k < q_i < w <= q_j with i < j < k, that is an
     ascent p_i < p_j with p_i >= v and w in (p_i+1, p_j+1]; 3412 is
     q_k < w <= q_i < q_j, the same ascents with w in (v, p_i+1].  Their
-    union over all such ascents is (v, P+1], P the largest p_j topping
-    an ascent p_i < p_j with p_i >= v.  The largest top over ascents
-    from a given p_i is the maximum after it, when that is larger; one
-    right-to-left pass records it per value, and P is its running
-    maximum over the values from n down to v.
+    union over all such ascents is (v, P(v)+1].
     """
-    n = len(p)
-    top = [0] * (n + 2)     # top[a]: the maximum after a, when above a
-    high = 0
-    for a in reversed(p):
-        if high > a:
-            top[a] = high
-        else:
-            high = a
     ext = [0] * (n + 2)
-    big = 0                 # P for the current v, 0 for none
-    for v in range(n, 0, -1):
-        if top[v] > big:
-            big = top[v]
-        if big:
-            ext[v] = (4 << big) - (2 << v)
+    for v, top in enumerate(state, 1):
+        if top:
+            ext[v] = (4 << top) - (2 << v)
     return ext
 
 
-def class_b_extensions(p: list) -> list:
-    """Like ``class_a_extensions`` for 1432 and 2143.
+def class_a_child(state: tuple, n: int, v: int) -> tuple:
+    """The state (see ``class_a_ext``) of p+v from that of p, of length
+    n.  An ascent of p+v either lies in p, relabelled by rel(t) = t +
+    [t >= v], or ends at v.  For u <= v, rel(p_i) >= u exactly when
+    p_i >= u; for u > v, exactly when p_i >= u - 1.  So P'(u) is
+    rel(P(u)) for u <= v and rel(P(u-1)) for u > v, rel(0) = 0.  Every
+    value below v precedes v, so for u < v some p_i in [u, v) tops out
+    at v as well: P'(u) is raised to v.  A nonzero P(u) exceeds u, so
+    for u >= v it is raised by one.
+    """
+    head = tuple(t + 1 if t >= v else v for t in state[:v - 1])
+    tail = tuple(t + 1 if t else 0 for t in state[v - 1:])
+    return head + tail[:1] + tail
+
+
+def class_b_ext(state: tuple, n: int) -> list:
+    """Like ``class_a_ext`` for 1432 and 2143.  ``state`` is (g, M1) of
+    p: g the least entry with a smaller entry after it (n+1 for none),
+    M1 the maximum after the entry 1 (0 when 1 is last or p is empty).
 
     With q = p+v and q_k = v: 1432 is q_i < w <= q_k < q_j, that is
     p_i < v with a later p_j >= v and w in (p_i, v]; 2143 is
@@ -179,23 +186,9 @@ def class_b_extensions(p: list) -> list:
         another one qualifies 1 does too: m = 1 when 1 < v <= M1.
 
     So ext[v] is (1, v] for 1 < v <= M1, else (g, v] for v > g, else
-    empty.  One right-to-left pass finds g and M1.
+    empty.
     """
-    n = len(p)
-    g = n + 1               # least entry with a smaller entry after it
-    m1 = 0                  # maximum after the entry 1 (0 if it is last)
-    low = n + 1
-    high = 0
-    for a in reversed(p):
-        if a > low:
-            if a < g:
-                g = a
-        else:
-            low = a
-            if a == 1:
-                m1 = high
-        if a > high:
-            high = a
+    g, m1 = state
     ext = [0] * (n + 2)
     for v in range(2, n + 2):
         if v <= m1:
@@ -203,3 +196,19 @@ def class_b_extensions(p: list) -> list:
         elif v > g:
             ext[v] = (2 << v) - (2 << g)
     return ext
+
+
+def class_b_child(state: tuple, n: int, v: int) -> tuple:
+    """The state (see ``class_b_ext``) of p+v from that of p, of length
+    n.  The entries with a smaller one after them are those of p,
+    relabelled, and those above v, the least of which is v+1 (n+2, for
+    none, when v = n+1): g' = min(g + [g >= v], v + 1).  The entry 1
+    is v itself, and last, when v = 1; otherwise it stays 1 and v joins
+    the entries after it: M1' = v if M1 = 0, else max(M1 + [M1 >= v],
+    v).
+    """
+    g, m1 = state
+    g = min(g + (g >= v), v + 1)
+    if v == 1:
+        return g, 0
+    return g, max(m1 + (m1 >= v), v) if m1 else v

@@ -1,19 +1,24 @@
 """Brute-force ground truth: enumerate all avoiders of a basis up to a
 length bound and tabulate statistic distributions.
 
-Avoiders are generated depth first by appending a new rightmost value
-to an avoider (the other entries relabelled); the classes are closed
-under removal of the last entry, so the search tree is exactly the
-class.  Each avoider carries its forbidden mask, the values whose
-appending makes a basis occurrence, and a child's mask follows from its
-parent's: the parent's own occurrences carried over plus one interval
-per appended value, all intervals found by one O(n) pass over the
-parent (``_kernels``).  The two bases of interest are the only ones
-with such a pass.  Counts and statistic rows are tallied during the
-walk, each child's statistic updated from its parent's.  The last two
-lengths are counted, not built: an avoider of length n_max - 1 is
-counted from its mask, and its children by popcount.  Memory grows with
-the length bound, not with the counts.
+Avoiders are generated by appending a new rightmost value to an
+avoider (the other entries relabelled); the classes are closed under
+removal of the last entry, so this generating tree is exactly the
+class.  It is walked one length at a time (West, "Generating trees and
+the Catalan and Schroder numbers", Discrete Math. 146, 1995), and no
+permutation is built.  Each avoider is reduced to a key: its forbidden
+mask, the values whose appending makes a basis occurrence, and a small
+state from which the child's mask and state follow (``_kernels``), plus
+its last entry and statistic when a statistic is tabulated.  The
+subtree below an avoider depends only on its key, so a length is held
+as a dict from key to multiplicity, each key expanded once.  The two
+bases of interest are the only ones with such a state.  Counts and
+statistic rows are tallied from the multiplicities, each child's
+statistic updated from its parent's.  The last length is counted, not
+built: its avoiders are tallied from their parents' masks by popcount.
+Memory grows with the distinct keys of one length, not with the counts:
+at n_max = 10 at most 488 keys for plain counts and 2,105 with a
+statistic.
 """
 from __future__ import annotations
 
@@ -91,11 +96,11 @@ def default_budget() -> int:
                          % (BUDGET_ENV_VAR, value)) from None
 
 
-# The per-parent pass giving, for every appended value v, the forbidden
-# values of p+v that p's own mask does not carry over (``_kernels``).
-_EXTENSIONS: dict[Basis, Callable[[list], list]] = {
-    CLASS_A_BASIS: _kernels.class_a_extensions,
-    CLASS_B_BASIS: _kernels.class_b_extensions,
+# Per basis: the state of the empty permutation, and the functions
+# giving a state's extension intervals and a child's state (``_kernels``).
+_STATES: dict[Basis, tuple] = {
+    CLASS_A_BASIS: ((0,), _kernels.class_a_ext, _kernels.class_a_child),
+    CLASS_B_BASIS: ((1, 0), _kernels.class_b_ext, _kernels.class_b_child),
 }
 
 
@@ -155,100 +160,88 @@ class _Budget:
         if self.left < 0:
             raise BudgetExceededError(
                 "node budget of %d extension attempts exhausted while "
-                "generating length %d; raise it with --node-budget or %s"
-                % (self.budget, length, BUDGET_ENV_VAR))
+                "generating length %d; lengths up to %d are complete; "
+                "raise it with --node-budget or %s"
+                % (self.budget, length, length - 1, BUDGET_ENV_VAR))
 
 
 def _walk(basis: Basis, n_max: int, node_budget: int | None,
           step: Callable[[int, int, int, int], int] | None = None,
           first: int = 1) -> tuple[list[int], list[list[int]]]:
-    """Depth-first walk of the avoiders of length <= n_max.
+    """Walk the generating tree of the avoiders of length <= n_max one
+    length at a time.
 
     Returns (counts, rows): counts[n] avoiders of length n and, with a
     ``step`` (see _STEPS), rows[n][k] of them with statistic value k
     (rows[n] has n + 2 entries).  With ``first`` = 2 only values >= 2
     are appended after the first entry, so every avoider starts with 1.
 
-    Each node carries its forbidden mask (bit v set when appending v
-    makes a basis occurrence), derived from its parent's by
-    ``_kernels.split_mask`` and one per-parent extensions pass, so no
-    child is scanned.  Only avoiders of length <= n_max - 2 are built:
-    one of length n_max - 1 is counted from its mask, and its children
-    are tallied by popcount over the three classes of appended value
-    on which every step is constant.
+    A length is a dict from a key (mask, state, last, s) to the number
+    of avoiders with that key.  The mask has bit v set when appending v
+    makes a basis occurrence; the state (``_kernels``) gives the
+    extension intervals, so a child's mask is ``_kernels.split_mask``
+    of its parent's OR one interval, and the child's own state.  The
+    last entry and the statistic s are keyed only with a ``step``.  The
+    subtree below an avoider depends only on its key, so equal keys are
+    merged and expanded once.  The avoiders of length n_max - 1 are
+    keyed by mask alone and not expanded: their children are tallied by
+    popcount over the three classes of appended value on which every
+    step is constant.
 
-    A parent with children of length n spends the number of candidate
-    values, n - first + 1 (1 for the empty parent), as a level-by-level
-    search would, so the budget runs out on the same inputs; the unbuilt
-    parents of length n_max - 1 spend in one sum per grandparent.
-    Memory grows with n_max, not with the counts.
+    Before a length n is generated the budget is spent by the number of
+    candidate values, n - first + 1 (1 for n = 1), for every avoider of
+    length n - 1, so when it runs out every shorter length is complete.
+    Memory grows with the distinct keys of one length, not with the
+    counts.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if basis not in _EXTENSIONS:
+    if basis not in _STATES:
         raise ValueError("no forbidden-value scan for basis %s" % basis)
     budget = _Budget(node_budget)
-    extensions = _EXTENSIONS[basis]
+    root, ext_of, child_of = _STATES[basis]
     split = _kernels.split_mask
     counts = [1] + [0] * n_max
     rows = [[0] * (n + 2) for n in range(n_max + 1)]
     rows[0][0] = 1
-    if n_max == 0:
-        return counts, rows
-    lo = first if n_max >= 2 else 1
-    width = n_max - lo + 1          # candidate values at length n_max
-    keep = (2 << n_max) - (1 << lo)
-    last_row = rows[n_max]
-
-    def tally_last(last: int, s: int, mask: int) -> None:
-        # the children of one avoider of length n_max - 1
-        free = keep & ~mask
-        counts[n_max] += free.bit_count()
-        if step is None:
-            return
-        if free & 2:
-            last_row[step(n_max - 1, last, s, 1)] += 1
-        mid = (free & ((2 << last) - 4)).bit_count()
-        if mid:
-            last_row[step(n_max - 1, last, s, 2)] += mid
-        high = (free >> (last + 1)).bit_count()
-        if high:
-            last_row[step(n_max - 1, last, s, last + 1)] += high
-
-    stack = []                      # (avoider, its statistic, its mask)
-
-    def expand(p: list, s: int, mask: int) -> None:
-        n = len(p) + 1              # length of the children
-        lo_n = first if n >= 2 else 1
-        budget.spend(n - lo_n + 1, n)
-        free = ((2 << n) - (1 << lo_n)) & ~mask
-        k = free.bit_count()
-        counts[n] += k
-        ext = extensions(p)
-        allowed = [v for v in range(lo_n, n + 1) if free >> v & 1]
-        if n == n_max - 1:
-            budget.spend(k * width, n_max)
-        last = p[-1] if p else 1
+    level = {(0, root, 1, 0): 1}    # the empty avoider, last entry 1
+    for n in range(1, n_max + 1):   # the length being generated
+        lo = first if n >= 2 else 1
+        budget.spend((n - lo + 1) * counts[n - 1], n)
+        keep = (2 << n) - (1 << lo)
         row = rows[n]
-        for v in allowed:
-            t = step(n - 1, last, s, v) if step is not None else 0
-            row[t] += 1
-            child_mask = split(mask, v) | ext[v]
-            if n == n_max - 1:
-                tally_last(v, t, child_mask)
-            else:
-                child = [x + 1 if x >= v else x for x in p]
-                child.append(v)
-                stack.append((child, t, child_mask))
-
-    if n_max == 1:
-        # the empty avoider is itself of length n_max - 1
-        budget.spend(1, 1)
-        tally_last(1, 0, 0)
-        return counts, rows
-    expand([], 0, 0)
-    while stack:
-        expand(*stack.pop())
+        if n == n_max:
+            for (mask, _state, last, s), k in level.items():
+                free = keep & ~mask
+                counts[n] += k * free.bit_count()
+                if step is None:
+                    continue
+                if free & 2:
+                    row[step(n - 1, last, s, 1)] += k
+                mid = (free & ((2 << last) - 4)).bit_count()
+                if mid:
+                    row[step(n - 1, last, s, 2)] += k * mid
+                high = (free >> (last + 1)).bit_count()
+                if high:
+                    row[step(n - 1, last, s, last + 1)] += k * high
+            break
+        grow = n < n_max - 1        # whether the children are expanded
+        children: dict[tuple, int] = {}
+        for (mask, state, last, s), k in level.items():
+            free = keep & ~mask
+            counts[n] += k * free.bit_count()
+            ext = ext_of(state, n - 1)
+            while free:
+                bit = free & -free
+                free ^= bit
+                v = bit.bit_length() - 1
+                t = step(n - 1, last, s, v) if step is not None else 0
+                row[t] += k
+                key = (split(mask, v) | ext[v],
+                       child_of(state, n - 1, v) if grow else None,
+                       v if step is not None else 1, t)
+                children[key] = children.get(key, 0) + k
+        level = children
     return counts, rows
 
 

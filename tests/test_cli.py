@@ -77,7 +77,8 @@ def test_count_budget_exhaustion_exit_code(capsys):
                            "--node-budget", "50")
     assert code == cli.EXIT_BUDGET
     assert "budget of 50" in err
-    assert "generating length 9" in err
+    # lengths 1..4 spend 1 + 2 + 6 + 24 = 33, length 5 another 5 * 22
+    assert "generating length 5; lengths up to 4 are complete;" in err
     assert "--node-budget" in err and oracle.BUDGET_ENV_VAR in err
 
 

@@ -95,44 +95,74 @@ def _masks_by_occurrences(n, basis):
             for q in itertools.permutations(range(1, n + 1))}
 
 
-BASES = [(perms.CLASS_A_BASIS, _kernels.class_a_extensions),
-         (perms.CLASS_B_BASIS, _kernels.class_b_extensions)]
+def _state_of_a(p):
+    """The class-A state of p: P(u) for u = 1..n+1, the largest top p_j
+    of an ascent p_i < p_j (i < j) with p_i >= u, or 0 for none."""
+    top = [0] * (len(p) + 2)    # top[a]: the largest later entry above a
+    for i, a in enumerate(p):
+        top[a] = max([b for b in p[i + 1:] if b > a], default=0)
+    return tuple(max(top[u:]) for u in range(1, len(p) + 2))
+
+
+def _state_of_b(p):
+    """The class-B state of p: (g, M1), g the least entry with a smaller
+    entry after it (n+1 for none), M1 the maximum after the entry 1 (0
+    when 1 is last or p is empty)."""
+    g = min((a for i, a in enumerate(p) if min(p[i:]) < a),
+            default=len(p) + 1)
+    m1 = max(p[p.index(1) + 1:], default=0) if p else 0
+    return g, m1
+
+
+BASES = [(perms.CLASS_A_BASIS, _state_of_a, _kernels.class_a_ext,
+          _kernels.class_a_child),
+         (perms.CLASS_B_BASIS, _state_of_b, _kernels.class_b_ext,
+          _kernels.class_b_child)]
 BASIS_IDS = ["class_a", "class_b"]
 
 
-@pytest.mark.parametrize("basis", [b for b, _ in BASES], ids=BASIS_IDS)
+@pytest.mark.parametrize("basis", [b[0] for b in BASES], ids=BASIS_IDS)
 def test_occurrence_masks_match_containment(basis):
     for n in range(7):
         for q, mask in _masks_by_occurrences(n, basis).items():
             assert mask == _forbidden_by_containment(list(q), basis), q
 
 
-@pytest.mark.parametrize("basis, extensions", BASES, ids=BASIS_IDS)
-def test_child_mask_from_parent_exhaustive(basis, extensions):
-    """mask(p+v) = split(mask(p), v) | ext_p[v] for every p of length
-    <= 7 (avoider or not) and every v, both masks by containment."""
+@pytest.mark.parametrize("basis, state_of, ext, child", BASES,
+                         ids=BASIS_IDS)
+def test_child_mask_from_parent_exhaustive(basis, state_of, ext, child):
+    """For every p of length <= 7 (avoider or not) and every v, the
+    state of p+v follows from that of p, and mask(p+v) =
+    split(mask(p), v) | ext(state of p)[v], both masks by containment."""
     masks = {}
     for n in range(9):
         masks.update(_masks_by_occurrences(n, basis))
     for n in range(8):
         for p in itertools.permutations(range(1, n + 1)):
-            ext = extensions(list(p))
-            assert len(ext) == n + 2
+            state = state_of(list(p))
+            intervals = ext(state, n)
+            assert len(intervals) == n + 2
             for v in range(1, n + 2):
-                child = tuple(_child(list(p), v)[0])
-                assert _kernels.split_mask(masks[p], v) | ext[v] == \
-                    masks[child], (p, v)
+                q = _child(list(p), v)[0]
+                assert child(state, n, v) == state_of(q), (p, v)
+                assert _kernels.split_mask(masks[p], v) | intervals[v] == \
+                    masks[tuple(q)], (p, v)
 
 
-@pytest.mark.parametrize("basis, extensions", BASES, ids=BASIS_IDS)
+@pytest.mark.parametrize("basis, state_of, ext, child", BASES,
+                         ids=BASIS_IDS)
 @given(data=st.data())
-def test_child_mask_from_parent_matches_containment(basis, extensions,
-                                                    data):
+def test_child_mask_from_parent_matches_containment(basis, state_of, ext,
+                                                    child, data):
     p = list(data.draw(any_perms))
-    v = data.draw(st.integers(1, len(p) + 1))
-    want = _forbidden_by_containment(_child(p, v)[0], basis)
+    n = len(p)
+    v = data.draw(st.integers(1, n + 1))
+    q = _child(p, v)[0]
+    want = _forbidden_by_containment(q, basis)
     parent = _forbidden_by_containment(p, basis)
-    assert _kernels.split_mask(parent, v) | extensions(p)[v] == want
+    state = state_of(p)
+    assert _kernels.split_mask(parent, v) | ext(state, n)[v] == want
+    assert child(state, n, v) == state_of(q)
 
 
 def test_active_backend_exposed():

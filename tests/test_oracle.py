@@ -1,9 +1,15 @@
+import itertools
+
 import pytest
 
-from permclass import oracle, perms
+from permclass import class_a, class_b, oracle, perms
 from permclass.perms import CLASS_A_BASIS, CLASS_B_BASIS, Basis, parse_perm
 
-from conftest import golden_text
+from conftest import BASES, STATISTICS, golden_text
+
+# per class: the functional-equation counts and the fixture with its state
+FE = {"class_a": (class_a.counts, "state_a60"),
+      "class_b": (class_b.counts, "state_b60")}
 
 
 @pytest.mark.parametrize("basis", [CLASS_A_BASIS, CLASS_B_BASIS],
@@ -18,6 +24,24 @@ def test_counts_match_golden_files(oracle_counts_11):
     for name in ("class_a", "class_b"):
         rep = oracle_counts_11[name]
         assert rep.serialize_counts() == golden_text(name + "_counts.tsv")
+
+
+@pytest.mark.parametrize("name", sorted(FE))
+def test_fe_counts_match_oracle_to_n13(name, request):
+    counts, fixture = FE[name]
+    want = oracle.enumerate_avoiders(BASES[name], 13).counts
+    assert counts(request.getfixturevalue(fixture))[:14] == want
+
+
+@pytest.mark.parametrize("name", sorted(FE))
+def test_fe_rows_match_oracle_distribution_to_n12(name, request):
+    """Row n of the bivariate FE series is the distribution of the
+    class's tracked statistic over the avoiders of length n."""
+    f = request.getfixturevalue(FE[name][1]).f
+    stat = STATISTICS[name]
+    rep = oracle.statistic_distribution(BASES[name], 12, stat)
+    for n, row in enumerate(rep.distributions[stat]):
+        assert [f.coefficient(n, k) for k in range(len(row))] == row, n
 
 
 def test_basis_without_scan_rejected():
@@ -81,7 +105,10 @@ def _run_budgeted(name, basis, n_max, budget):
 def test_budget_counts_candidate_children():
     """The budget is spent on every candidate child: 1 for the empty
     avoider, and n - first + 1 per avoider of length n - 1 >= 1, also
-    at the last two lengths, which are counted without being built."""
+    at the last length, which is counted without being built.  It is
+    spent one whole length at a time, before that length is generated,
+    so a budget that runs out names the first length it does not cover
+    and every shorter length is complete."""
     for basis in (CLASS_A_BASIS, CLASS_B_BASIS):
         for name, first in (("enumerate_avoiders", 1),
                             ("statistic_distribution", 1),
@@ -93,15 +120,22 @@ def test_budget_counts_candidate_children():
             with pytest.raises(oracle.BudgetExceededError,
                                match="generating length 7;"):
                 _run_budgeted(name, basis, 7, exact - 1)
-            # depth first, the first length-6 spend follows one spend
-            # per length 1..5, each of a whole set of candidates
-            first_path = 1 + sum(n - first + 1 for n in range(2, 6))
-            with pytest.raises(oracle.BudgetExceededError,
-                               match="generating length 6;"):
-                _run_budgeted(name, basis, 7, first_path)
-            with pytest.raises(oracle.BudgetExceededError,
-                               match="generating length 5;"):
-                _run_budgeted(name, basis, 7, first_path - 1)
+            # through[L - 1]: the spend on lengths 1..L
+            through = list(itertools.accumulate(
+                [1] + [(n - first + 1) * counts[n - 1]
+                       for n in range(2, 8)]))
+            assert through[-1] == exact
+            for length in range(1, 7):
+                with pytest.raises(
+                        oracle.BudgetExceededError,
+                        match="generating length %d; lengths up to %d are "
+                              "complete;" % (length + 1, length)):
+                    _run_budgeted(name, basis, 7, through[length - 1])
+                with pytest.raises(
+                        oracle.BudgetExceededError,
+                        match="generating length %d; lengths up to %d are "
+                              "complete;" % (length, length - 1)):
+                    _run_budgeted(name, basis, 7, through[length - 1] - 1)
     rep = oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=683)
     assert sum(n * rep.counts[n - 1] for n in range(1, 7)) == 683
     with pytest.raises(oracle.BudgetExceededError):
