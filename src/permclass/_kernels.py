@@ -1,27 +1,29 @@
-"""The hot kernels: series convolutions and the oracle's avoidance
-masks for the two classes.
+"""The hot kernels: series convolutions and the oracle's avoidance masks.
 
 Coefficients are arbitrary Python numbers (ints or Fractions), so the
-convolutions are exact object arithmetic.  The scans take permutations
-as lists of the values 1..n.
+convolutions are exact object arithmetic.
 
-The oracle walk never holds a permutation: the forbidden mask of p+v
-(bit w set when appending w makes an occurrence ending at w) is
+The forbidden mask of a permutation p has bit w set when appending w
+(the other entries relabelled) makes a basis occurrence ending at w.
+It follows from p's parent,
 
-    mask(p+v) = split(mask(p), v) | ext_p[v],
+    mask(p+v) = split(mask(p), v) | ext(state of p, v),
 
 where ``split`` (see ``split_mask``) carries p's own occurrences over,
-gap v split in two, and ``ext_p[v]``, one interval, covers the
-occurrences that use v as the third of their four entries.  ``ext_p``
-is a function of a small state of p: P(1..n+1) for class A, (g, M1)
-for class B.  ``class_{a,b}_ext`` give ``ext_p`` for every v from the
-state in O(n), and ``class_{a,b}_child`` the state of p+v from that of
-p, so avoiders with equal masks and states have equal subtrees.  The
-full scans ``class_{a,b}_forbidden`` stay as a reference for the
-tests, and the child checks built on them because
-``perfbench/tracing.py`` wraps them by name; the walk calls neither.
+gap v split in two, and ``ext``, one interval, covers the occurrences
+that use v as the third of their four entries.  The state is small:
+P(1..n+1) for class A, (g, M1) for class B.  ``class_{a,b}_ext`` give
+the interval for one appended value and ``class_{a,b}_child`` the state
+of p+v; ``GENERATING_TREES`` holds them with the empty permutation's
+state.  The oracle walk applies them to each avoider, so avoiders with
+equal masks and states have equal subtrees; ``forbidden`` folds them
+along one permutation.  The child checks ``class_{a,b}_child_ok`` exist
+only because ``perfbench/tracing.py`` wraps them; the walk calls
+neither.
 """
 from __future__ import annotations
+
+from .perms import Basis, CLASS_A_BASIS, CLASS_B_BASIS
 
 BACKEND = "python"  # the kernel implementation, recorded by benchmark runs
 
@@ -51,79 +53,6 @@ def series_mul(a: list, b: list, order: int) -> list:
     return out
 
 
-def class_a_child_ok(q: list, v: int) -> bool:
-    """Whether ``q``, a permutation of 1..n+1 ending in ``v`` whose
-    prefix avoids 2413 and 3412, still avoids them: ``v`` is not in
-    ``class_a_forbidden`` of the prefix relabelled to 1..n."""
-    parent = [x - 1 if x > v else x for x in q[:-1]]
-    return not class_a_forbidden(parent) >> v & 1
-
-
-def class_b_child_ok(q: list, v: int) -> bool:
-    """Like ``class_a_child_ok`` for 1432 and 2143."""
-    parent = [x - 1 if x > v else x for x in q[:-1]]
-    return not class_b_forbidden(parent) >> v & 1
-
-
-def class_a_forbidden(p: list) -> int:
-    """The values v in 1..n+1 whose appending to ``p`` (the other
-    entries relabelled) makes an occurrence of 2413 or 3412 ending at
-    v, as a bit mask (bit v); ``p`` need not avoid the patterns.  Such
-    an occurrence has i<j<k with p[k] < p[i] < p[j] and v in
-    (p[i], p[j]] (2413) or (p[k], p[i]] (3412).  For fixed j the union
-    over i and k is (m, p[j]], with m the minimum after j, whenever
-    some p[i] left of j lies strictly between m and p[j].  One
-    right-to-left scan.
-    """
-    n = len(p)
-    left = (2 << n) - 2     # values before j, once p[j] is taken out
-    forbid = 0
-    low = n + 1             # min(p[j+1:])
-    for pj in reversed(p):
-        left ^= 1 << pj
-        if low < pj:
-            if left & ((1 << pj) - (2 << low)):
-                forbid |= (2 << pj) - (2 << low)
-        else:
-            low = pj
-    return forbid
-
-
-def class_b_forbidden(p: list) -> int:
-    """Like ``class_a_forbidden`` for 1432 and 2143.  Such an occurrence
-    has i<j<k with v in (p[i], p[k]] and p[i] < p[k] < p[j] (1432) or
-    p[j] < p[i] < p[k] (2143).  For fixed j the union is
-
-      - over 1432: (m, M], m the minimum before j and M the largest
-        entry after j below p[j], when m < M;
-      - over 2143: (s, T], s the least entry before j above p[j] and T
-        the largest entry after j, when s < T.
-
-    One left-to-right scan.
-    """
-    n = len(p)
-    later = (2 << n) - 2    # values after j, once p[j] is taken out
-    seen = 0                # values before j
-    forbid = 0
-    low = n + 1             # min(p[:j])
-    for pj in p:
-        later ^= 1 << pj
-        if low < pj:
-            band = later & ((1 << pj) - (2 << low))
-            if band:
-                forbid |= (1 << band.bit_length()) - (2 << low)
-        else:
-            low = pj
-        above = seen >> pj
-        if above:
-            succ = pj + (above & -above).bit_length() - 1
-            top = later.bit_length() - 1
-            if succ < top:
-                forbid |= (2 << top) - (2 << succ)
-        seen |= 1 << pj
-    return forbid
-
-
 def split_mask(m: int, v: int) -> int:
     """The forbidden mask of p as seen from p+v: bits below v stay and
     bits from v up move up by one, bit v going to both v and v+1.  An
@@ -132,12 +61,12 @@ def split_mask(m: int, v: int) -> int:
     return (m & ((2 << v) - 1)) | (m >> v << (v + 1))
 
 
-def class_a_ext(state: tuple, n: int) -> list:
-    """``ext[v]`` for v in 1..n+1 (index 0 unused): as a bit mask, the
-    values w whose appending to p+v (p of length n, its entries >= v
-    raised by one) makes an occurrence of 2413 or 3412 with v as its
-    third entry.  ``state`` is P(1..n+1) of p: P(u) is the largest top
-    p_j of an ascent p_i < p_j (i < j) with p_i >= u, or 0 for none.
+def class_a_ext(state: tuple, v: int) -> int:
+    """As a bit mask, the values w whose appending to p+v (p of length
+    n, its entries >= v raised by one, v in 1..n+1) makes an occurrence
+    of 2413 or 3412 with v as its third entry.  ``state`` is P(1..n+1)
+    of p: P(u) is the largest top p_j of an ascent p_i < p_j (i < j)
+    with p_i >= u, or 0 for none.
 
     Write q = p+v, so q_k = v and q_i = p_i + 1 > v for p_i >= v.  An
     occurrence 2413 is q_k < q_i < w <= q_j with i < j < k, that is an
@@ -145,29 +74,26 @@ def class_a_ext(state: tuple, n: int) -> list:
     q_k < w <= q_i < q_j, the same ascents with w in (v, p_i+1].  Their
     union over all such ascents is (v, P(v)+1].
     """
-    ext = [0] * (n + 2)
-    for v, top in enumerate(state, 1):
-        if top:
-            ext[v] = (4 << top) - (2 << v)
-    return ext
+    top = state[v - 1]
+    return (4 << top) - (2 << v) if top else 0
 
 
-def class_a_child(state: tuple, n: int, v: int) -> tuple:
-    """The state (see ``class_a_ext``) of p+v from that of p, of length
-    n.  An ascent of p+v either lies in p, relabelled by rel(t) = t +
-    [t >= v], or ends at v.  For u <= v, rel(p_i) >= u exactly when
-    p_i >= u; for u > v, exactly when p_i >= u - 1.  So P'(u) is
-    rel(P(u)) for u <= v and rel(P(u-1)) for u > v, rel(0) = 0.  Every
-    value below v precedes v, so for u < v some p_i in [u, v) tops out
-    at v as well: P'(u) is raised to v.  A nonzero P(u) exceeds u, so
-    for u >= v it is raised by one.
+def class_a_child(state: tuple, v: int) -> tuple:
+    """The state (see ``class_a_ext``) of p+v from that of p.  An
+    ascent of p+v either lies in p, relabelled by rel(t) = t + [t >= v],
+    or ends at v.  For u <= v, rel(p_i) >= u exactly when p_i >= u; for
+    u > v, exactly when p_i >= u - 1.  So P'(u) is rel(P(u)) for u <= v
+    and rel(P(u-1)) for u > v, rel(0) = 0.  Every value below v
+    precedes v, so for u < v some p_i in [u, v) tops out at v as well:
+    P'(u) is raised to v.  A nonzero P(u) exceeds u, so for u >= v it
+    is raised by one.
     """
     head = tuple(t + 1 if t >= v else v for t in state[:v - 1])
     tail = tuple(t + 1 if t else 0 for t in state[v - 1:])
     return head + tail[:1] + tail
 
 
-def class_b_ext(state: tuple, n: int) -> list:
+def class_b_ext(state: tuple, v: int) -> int:
     """Like ``class_a_ext`` for 1432 and 2143.  ``state`` is (g, M1) of
     p: g the least entry with a smaller entry after it (n+1 for none),
     M1 the maximum after the entry 1 (0 when 1 is last or p is empty).
@@ -185,20 +111,16 @@ def class_b_ext(state: tuple, n: int) -> list:
         least value and the largest maximum after it, M1, so wherever
         another one qualifies 1 does too: m = 1 when 1 < v <= M1.
 
-    So ext[v] is (1, v] for 1 < v <= M1, else (g, v] for v > g, else
-    empty.
+    So the mask is (1, v] for v <= M1 (empty for v = 1), else (g, v]
+    for v > g, else empty.
     """
     g, m1 = state
-    ext = [0] * (n + 2)
-    for v in range(2, n + 2):
-        if v <= m1:
-            ext[v] = (2 << v) - 4
-        elif v > g:
-            ext[v] = (2 << v) - (2 << g)
-    return ext
+    if v <= m1:
+        return (2 << v) - 4
+    return (2 << v) - (2 << g) if v > g else 0
 
 
-def class_b_child(state: tuple, n: int, v: int) -> tuple:
+def class_b_child(state: tuple, v: int) -> tuple:
     """The state (see ``class_b_ext``) of p+v from that of p, of length
     n.  The entries with a smaller one after them are those of p,
     relabelled, and those above v, the least of which is v+1 (n+2, for
@@ -212,3 +134,36 @@ def class_b_child(state: tuple, n: int, v: int) -> tuple:
     if v == 1:
         return g, 0
     return g, max(m1 + (m1 >= v), v) if m1 else v
+
+
+# Per basis: the state of the empty permutation, ext and child.
+GENERATING_TREES: dict[Basis, tuple] = {
+    CLASS_A_BASIS: ((0,), class_a_ext, class_a_child),
+    CLASS_B_BASIS: ((1, 0), class_b_ext, class_b_child),
+}
+
+
+def forbidden(p: list, basis: Basis) -> int:
+    """The forbidden mask of ``p`` for ``basis``, whether or not p avoids
+    it; distinct positive values stand for their relative order.  Folds
+    mask(p+v) = split_mask(mask(p), v) | ext(state, v) one entry at a
+    time from the empty permutation, each v its entry's rank so far."""
+    state, ext, child = GENERATING_TREES[basis]
+    mask = seen = 0
+    for x in p:
+        seen |= 1 << x
+        v = (seen & ((2 << x) - 1)).bit_count()
+        mask = split_mask(mask, v) | ext(state, v)
+        state = child(state, v)
+    return mask
+
+
+def class_a_child_ok(q: list, v: int) -> bool:
+    """Whether ``q``, a permutation of 1..n+1 ending in ``v`` whose
+    prefix avoids 2413 and 3412, still avoids them."""
+    return not forbidden(q[:-1], CLASS_A_BASIS) >> v & 1
+
+
+def class_b_child_ok(q: list, v: int) -> bool:
+    """Like ``class_a_child_ok`` for 1432 and 2143."""
+    return not forbidden(q[:-1], CLASS_B_BASIS) >> v & 1

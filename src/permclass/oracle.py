@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import _kernels, perms
-from .perms import Basis, Perm, CLASS_A_BASIS, CLASS_B_BASIS
+from .perms import Basis, Perm, CLASS_A_BASIS
 
 DEFAULT_NODE_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "PERMCLASS_NODE_BUDGET"
@@ -94,14 +94,6 @@ def default_budget() -> int:
     except ValueError:
         raise ValueError("%s must be an integer, got %r"
                          % (BUDGET_ENV_VAR, value)) from None
-
-
-# Per basis: the state of the empty permutation, and the functions
-# giving a state's extension intervals and a child's state (``_kernels``).
-_STATES: dict[Basis, tuple] = {
-    CLASS_A_BASIS: ((0,), _kernels.class_a_ext, _kernels.class_a_child),
-    CLASS_B_BASIS: ((1, 0), _kernels.class_b_ext, _kernels.class_b_child),
-}
 
 
 # For each entry of STATISTICS: the statistic of the child p+v (p
@@ -178,15 +170,16 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
 
     A length is a dict from a key (mask, state, last, s) to the number
     of avoiders with that key.  The mask has bit v set when appending v
-    makes a basis occurrence; the state (``_kernels``) gives the
-    extension intervals, so a child's mask is ``_kernels.split_mask``
-    of its parent's OR one interval, and the child's own state.  The
-    last entry and the statistic s are keyed only with a ``step``.  The
-    subtree below an avoider depends only on its key, so equal keys are
-    merged and expanded once.  The avoiders of length n_max - 1 are
-    keyed by mask alone and not expanded: their children are tallied by
-    popcount over the three classes of appended value on which every
-    step is constant.
+    makes a basis occurrence; by ``_kernels.GENERATING_TREES`` the
+    state gives the one interval ``ext(state, v)`` of each appended v,
+    so a child's mask is ``_kernels.split_mask`` of its parent's OR that
+    interval, and the child's own state.  The last entry and the
+    statistic s are keyed only with a ``step``.  The subtree below an
+    avoider depends only on its key, so equal keys are merged and
+    expanded once.  The avoiders of length n_max - 1 are keyed by mask
+    alone and not expanded: their children are tallied by popcount over
+    the three classes of appended value on which every step is
+    constant.
 
     Before a length n is generated the budget is spent by the number of
     candidate values, n - first + 1 (1 for n = 1), for every avoider of
@@ -196,10 +189,10 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    if basis not in _STATES:
-        raise ValueError("no forbidden-value scan for basis %s" % basis)
+    if basis not in _kernels.GENERATING_TREES:
+        raise ValueError("no generating-tree kernels for basis %s" % basis)
     budget = _Budget(node_budget)
-    root, ext_of, child_of = _STATES[basis]
+    root, ext, child = _kernels.GENERATING_TREES[basis]
     split = _kernels.split_mask
     counts = [1] + [0] * n_max
     rows = [[0] * (n + 2) for n in range(n_max + 1)]
@@ -230,15 +223,14 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
         for (mask, state, last, s), k in level.items():
             free = keep & ~mask
             counts[n] += k * free.bit_count()
-            ext = ext_of(state, n - 1)
             while free:
                 bit = free & -free
                 free ^= bit
                 v = bit.bit_length() - 1
                 t = step(n - 1, last, s, v) if step is not None else 0
                 row[t] += k
-                key = (split(mask, v) | ext[v],
-                       child_of(state, n - 1, v) if grow else None,
+                key = (split(mask, v) | ext(state, v),
+                       child(state, v) if grow else None,
                        v if step is not None else 1, t)
                 children[key] = children.get(key, 0) + k
         level = children

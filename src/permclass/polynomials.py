@@ -45,6 +45,8 @@ class MultivariatePolynomial:
             expo = tuple(expo)
             if len(expo) != len(vars):
                 raise ValueError("exponent arity mismatch")
+            if expo and min(expo) < 0:
+                raise ValueError("negative exponent in %s" % (expo,))
             if coef:
                 if int(coef) != coef:
                     raise ValueError("coefficients must be integers")

@@ -230,9 +230,11 @@ def test_verify_zero_polynomial_rejected(tmp_path, capsys, body):
 @pytest.mark.parametrize("body, reason", [
     ("1:z^50\n", "no term in y"),
     ("1:z^50*y\n", "z-degree above the order 20"),
-], ids=["no_y", "beyond_order"])
+    ("1:y -1:y^-1\n", "cannot parse polynomial file"),
+], ids=["no_y", "beyond_order", "negative_exponent"])
 def test_verify_vacuous_polynomial_rejected(tmp_path, capsys, body, reason):
-    """p(z, f) truncated to the order is zero for any f: no check."""
+    """p(z, f) truncated to the order is zero for any f, or would read as
+    zero through a negative exponent (y - y^-1): no check."""
     poly = tmp_path / "vacuous.txt"
     poly.write_text("vars: z y\n" + body)
     code, out, err = run_cli(capsys, "verify", "--class", "class_a",

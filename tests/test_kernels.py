@@ -51,20 +51,6 @@ def _forbidden_by_containment(p, basis):
     return forbid
 
 
-@given(any_perms)
-def test_class_a_forbidden_matches_generic_containment(p):
-    p = list(p)
-    assert _kernels.class_a_forbidden(p) == \
-        _forbidden_by_containment(p, perms.CLASS_A_BASIS)
-
-
-@given(any_perms)
-def test_class_b_forbidden_matches_generic_containment(p):
-    p = list(p)
-    assert _kernels.class_b_forbidden(p) == \
-        _forbidden_by_containment(p, perms.CLASS_B_BASIS)
-
-
 def _masks_by_occurrences(n, basis):
     """``_forbidden_by_containment`` of every permutation of length n,
     as a dict keyed by tuple, found from occurrences rather than by one
@@ -122,6 +108,13 @@ BASIS_IDS = ["class_a", "class_b"]
 
 
 @pytest.mark.parametrize("basis", [b[0] for b in BASES], ids=BASIS_IDS)
+@given(any_perms)
+def test_forbidden_matches_generic_containment(basis, p):
+    p = list(p)
+    assert _kernels.forbidden(p, basis) == _forbidden_by_containment(p, basis)
+
+
+@pytest.mark.parametrize("basis", [b[0] for b in BASES], ids=BASIS_IDS)
 def test_occurrence_masks_match_containment(basis):
     for n in range(7):
         for q, mask in _masks_by_occurrences(n, basis).items():
@@ -133,19 +126,17 @@ def test_occurrence_masks_match_containment(basis):
 def test_child_mask_from_parent_exhaustive(basis, state_of, ext, child):
     """For every p of length <= 7 (avoider or not) and every v, the
     state of p+v follows from that of p, and mask(p+v) =
-    split(mask(p), v) | ext(state of p)[v], both masks by containment."""
+    split(mask(p), v) | ext(state of p, v), both masks by containment."""
     masks = {}
     for n in range(9):
         masks.update(_masks_by_occurrences(n, basis))
     for n in range(8):
         for p in itertools.permutations(range(1, n + 1)):
             state = state_of(list(p))
-            intervals = ext(state, n)
-            assert len(intervals) == n + 2
             for v in range(1, n + 2):
                 q = _child(list(p), v)[0]
-                assert child(state, n, v) == state_of(q), (p, v)
-                assert _kernels.split_mask(masks[p], v) | intervals[v] == \
+                assert child(state, v) == state_of(q), (p, v)
+                assert _kernels.split_mask(masks[p], v) | ext(state, v) == \
                     masks[tuple(q)], (p, v)
 
 
@@ -161,8 +152,8 @@ def test_child_mask_from_parent_matches_containment(basis, state_of, ext,
     want = _forbidden_by_containment(q, basis)
     parent = _forbidden_by_containment(p, basis)
     state = state_of(p)
-    assert _kernels.split_mask(parent, v) | ext(state, n)[v] == want
-    assert child(state, n, v) == state_of(q)
+    assert _kernels.split_mask(parent, v) | ext(state, v) == want
+    assert child(state, v) == state_of(q)
 
 
 def test_active_backend_exposed():

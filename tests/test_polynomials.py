@@ -26,6 +26,11 @@ def test_arithmetic_basics():
         MultivariatePolynomial.variable(("z",), "z")
 
 
+def test_negative_exponent_rejected():
+    with pytest.raises(ValueError):
+        MultivariatePolynomial(("z", "y"), {(0, 1): 1, (0, -1): -1})
+
+
 def test_exact_division_and_failure():
     z, y = zy()
     p = (2 * z + 3 * y) * (z ** 2 - y + 5)
