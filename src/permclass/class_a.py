@@ -12,12 +12,17 @@ for its skew-indecomposable members of length at least two,
 
 where Omega: t^k -> (z/(1-z)) (f(z,t)-1) sum_{j=0}^{k} t^j f(z,1)^{k-j}.
 
+With Omega[fskew] = (z/(1-z)) (f-1) G, G = sum_j t^j H_j the Omega
+chain (see ``omega_apply``), the first equation factors as
+
+    fskew = z (f-1) W,   W = f(z,1) + G/(1-z).
+
 Both right-hand sides strictly raise z-order: row n (the z^n
 coefficient) of each right-hand side needs only rows below n of f and
 fskew.  ``iterate`` therefore computes the rows online, each row of
 every intermediate once.  Row n costs about n^3/6 coefficient products
-in the one genuine bivariate product, (f-1) times the Omega chain, and
-O(n^2) elsewhere, so order N costs about N^4/24 in all.
+in the one bivariate product, (f-1) times W, and O(n^2) elsewhere, so
+order N costs about N^4/24 in all.
 """
 from __future__ import annotations
 
@@ -58,10 +63,10 @@ def omega_apply(w: BivariateSeries, f: BivariateSeries,
 def iterate(n_max: int) -> ClassAState:
     """Compute f and fskew exactly to order n_max, one row at a time.
 
-    Row s of fskew is row s of z f1 (f-1) + Omega[fskew]; with
-    Omega[fskew] = (z/(1-z)) (f-1) G, G = sum_j t^j H_j, that needs
-    rows below s of f, f1 = f(z,1) and G.  Row s of f then follows from
-    row s of fskew.
+    Row s of fskew = z (f-1) W is row s-2 of ((f-1)/z) W, one row
+    product that needs rows below s of f and rows below s-1 of W.  Row
+    m of W = f1 + G/(1-z) is row m of f1 = f(z,1) plus the sum of rows
+    0..m of G.  Row s of f then follows from row s of fskew.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -72,23 +77,18 @@ def iterate(n_max: int) -> ClassAState:
     f1 = [[1]]          # f(z,1), as rows of t-degree 0
     fz = []             # rows of (f-1)/z: fz[i] = f[i+1]
     h = [[0]]           # Omega chain: h[j][m-j] = [z^m] H_j
-    g = [[0]]           # rows of G
-    omega = [0]         # the current row of Omega[fskew]
+    g_sum = [0]         # the sum of the rows of G so far
+    w = [[1]]           # rows of W
     quot = OnlineQuotient([1], [0, 1])   # fskew / ((1-z)(1-tz))
     quot.push(fskew[0])
     for s in range(1, n_max + 1):
-        if s >= 2:
-            # row s of z/(1-z) (f-1) G adds row s-1 of (f-1) G
-            omega = tpoly_sum(omega, row_product(fz, g, s - 2))
-            lin = row_product(f1, fz, s - 2)   # row s of z f1 (f-1)
-        else:
-            lin = [0]
-        row = tpoly_sum(lin, omega)
+        row = row_product(fz, w, s - 2) if s >= 2 else [0]
         fskew.append(row)
         f.append(tpoly_sum(quot.push(row), [0] * s + [1]))
         f1.append([sum(f[s])])
         fz.append(f[s])
-        g.append(_omega_chain_row(row, f1, h))
+        g_sum = tpoly_sum(g_sum, _omega_chain_row(row, f1, h))
+        w.append(tpoly_sum(f1[s], g_sum))
     state = ClassAState(order=n_max, f=BivariateSeries(f, n_max),
                         fskew=BivariateSeries(fskew, n_max))
     check_counting(state.f, state.fskew)

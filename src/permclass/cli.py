@@ -52,9 +52,19 @@ class CliError(Exception):
         self.code = code
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
+def _emit(args, payload: dict, text_lines: list[str],
+          columns: tuple[str, ...] = ()) -> None:
+    """Print the payload as JSON, or the text lines.  In CSV format
+    (tables only) print a header of the column names, then each of
+    ``payload["rows"]`` as its values in those columns, bools in lower
+    case."""
     if args.format == "json":
         print(json.dumps(dict(schema=SCHEMA, **payload), sort_keys=True))
+    elif args.format == "csv":
+        print(",".join(columns))
+        for row in payload["rows"]:
+            print(",".join(str(row[k]).lower() if isinstance(row[k], bool)
+                           else str(row[k]) for k in columns))
     else:
         for line in text_lines:
             print(line)
@@ -67,8 +77,6 @@ def _fe_counts(class_id: str, n: int) -> list[int]:
 
 def _series_for(class_id: str, source: str, order: int) -> UnivariateSeries:
     _, mod = _CLASSES[class_id]
-    if source not in ("f1", "fskew_at_f1"):
-        raise CliError("unknown series source %r" % source, 2)
     if source == "fskew_at_f1" and class_id != "class_a":
         raise CliError("fskew_at_f1 only exists for class_a", 2)
     state = mod.iterate(order)
@@ -80,47 +88,23 @@ def _series_for(class_id: str, source: str, order: int) -> UnivariateSeries:
 def cmd_count(args) -> int:
     class_id = args.class_id
     basis, _ = _CLASSES[class_id]
-    rows = []
-    oracle_counts = fe = None
+    table = {"n": range(args.n + 1)}
     if args.method in ("oracle", "both"):
-        rep = oracle.enumerate_avoiders(basis, args.n,
-                                        node_budget=args.node_budget)
-        oracle_counts = rep.counts
+        table["oracle"] = oracle.enumerate_avoiders(
+            basis, args.n, node_budget=args.node_budget).counts
     if args.method in ("functional_equation", "both"):
-        fe = _fe_counts(class_id, args.n)
-    status = "ok"
-    for n in range(args.n + 1):
-        row = {"n": n}
-        if oracle_counts is not None:
-            row["oracle"] = oracle_counts[n]
-        if fe is not None:
-            row["functional_equation"] = fe[n]
-        if oracle_counts is not None and fe is not None:
-            row["match"] = oracle_counts[n] == fe[n]
-            if not row["match"]:
-                status = "mismatch"
-        rows.append(row)
-    lines = []
-    for row in rows:
-        if args.method == "both":
-            lines.append("%d\t%d\t%d\t%s" % (
-                row["n"], row["oracle"], row["functional_equation"],
-                "MATCH" if row["match"] else "MISMATCH"))
-        else:
-            lines.append("%d\t%d" % (
-                row["n"], row.get("oracle", row.get("functional_equation"))))
-    if args.format == "csv":
-        header = ["n"] + [k for k in ("oracle", "functional_equation",
-                                      "match") if k in rows[0]]
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(row[k]).lower()
-                           if isinstance(row[k], bool) else str(row[k])
-                           for k in header))
-    else:
-        _emit(args, {"command": "count", "class": class_id,
-                     "method": args.method, "status": status, "rows": rows},
-              lines)
+        table["functional_equation"] = _fe_counts(class_id, args.n)
+    if args.method == "both":
+        table["match"] = [a == b for a, b in zip(
+            table["oracle"], table["functional_equation"])]
+    status = "ok" if all(table.get("match", ())) else "mismatch"
+    rows = [dict(zip(table, values)) for values in zip(*table.values())]
+    lines = ["\t".join(("MATCH" if x else "MISMATCH")
+                       if isinstance(x, bool) else str(x)
+                       for x in row.values()) for row in rows]
+    _emit(args, {"command": "count", "class": class_id,
+                 "method": args.method, "status": status, "rows": rows},
+          lines, tuple(table))
     return 0 if status == "ok" else EXIT_MISMATCH
 
 
@@ -130,17 +114,13 @@ def cmd_distribution(args) -> int:
     stat = args.stat or _FE_STATS[class_id]
     rep = oracle.statistic_distribution(basis, args.n, stat,
                                         node_budget=args.node_budget)
-    if args.format == "csv":
-        sys.stdout.write(rep.serialize_distribution(stat))
-        return 0
-    rows = []
-    for n, row in enumerate(rep.distributions[stat]):
-        for k, c in enumerate(row):
-            if c:
-                rows.append({"n": n, "k": k, "count": c})
+    rows = [{"n": n, "k": k, "count": c}
+            for n, row in enumerate(rep.distributions[stat])
+            for k, c in enumerate(row) if c]
     _emit(args, {"command": "distribution", "class": class_id,
                  "statistic": stat, "rows": rows},
-          ["%d,%d,%d" % (r["n"], r["k"], r["count"]) for r in rows])
+          ["%d,%d,%d" % (r["n"], r["k"], r["count"]) for r in rows],
+          ("n", "k", "count"))
     return 0
 
 

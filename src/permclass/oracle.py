@@ -32,15 +32,6 @@ from .perms import Basis, Perm, CLASS_A_BASIS
 DEFAULT_NODE_BUDGET = 10 ** 8
 BUDGET_ENV_VAR = "PERMCLASS_NODE_BUDGET"
 
-STATISTICS: dict[str, Callable[[Perm], int]] = {
-    "initial_decreasing_run": perms.initial_decreasing_run,
-    "trailing_increasing_run": perms.trailing_increasing_run,
-    "marked_trailing_run": perms.marked_trailing_run,
-    "gap_count": perms.gap_count,
-    "slice_count": perms.slice_count,
-}
-
-
 class BudgetExceededError(RuntimeError):
     """Raised when the enumeration would exceed the node budget."""
 
@@ -98,7 +89,9 @@ def default_budget() -> int:
 
 # For each entry of STATISTICS: the statistic of the child p+v (p
 # relabelled) from the length n of p, its last entry, its statistic s
-# and v.  The empty permutation's last entry is taken as 1, so it has no
+# and v.  The function of the same name in ``perms`` evaluates the
+# statistic on a permutation; the tests check the rules against it.
+# The empty permutation's last entry is taken as 1, so it has no
 # ascent and its one child, 1, extends its decreasing run.  Every step
 # depends on v only through v == 1 and v > last: it is constant on each
 # of {1}, {2..last} and {last+1..n+1}, which lets the walk tally the
@@ -128,7 +121,7 @@ def _step_slice_count(n: int, last: int, s: int, v: int) -> int:
     return s + (v == 1)
 
 
-_STEPS: dict[str, Callable[[int, int, int, int], int]] = {
+STATISTICS: dict[str, Callable[[int, int, int, int], int]] = {
     "initial_decreasing_run": _step_initial_decreasing_run,
     "trailing_increasing_run": _step_trailing_increasing_run,
     "marked_trailing_run": _step_marked_trailing_run,
@@ -164,9 +157,10 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     length at a time.
 
     Returns (counts, rows): counts[n] avoiders of length n and, with a
-    ``step`` (see _STEPS), rows[n][k] of them with statistic value k
-    (rows[n] has n + 2 entries).  With ``first`` = 2 only values >= 2
-    are appended after the first entry, so every avoider starts with 1.
+    ``step`` (a rule of STATISTICS), rows[n][k] of them with statistic
+    value k (rows[n] has n + 2 entries).  With ``first`` = 2 only values
+    >= 2 are appended after the first entry, so every avoider starts
+    with 1.
 
     A length is a dict from a key (mask, state, last, s) to the number
     of avoiders with that key.  The mask has bit v set when appending v
@@ -255,7 +249,7 @@ def statistic_distribution(b: Basis, n_max: int, stat: str,
     if stat not in STATISTICS:
         raise ValueError("unknown statistic %r (choose from %s)"
                          % (stat, ", ".join(sorted(STATISTICS))))
-    counts, rows = _walk(b, n_max, node_budget, _STEPS[stat])
+    counts, rows = _walk(b, n_max, node_budget, STATISTICS[stat])
     if stat == "gap_count":
         rows[0][0] = 0  # gap count is undefined on the empty permutation
     return CountReport(basis=b, counts=counts, distributions={stat: rows})
@@ -267,8 +261,8 @@ def single_slice_distribution(b: Basis, n_max: int,
     marked trailing run (the whole trailing run except the minimum)."""
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
-    counts, rows = _walk(b, n_max, node_budget, _step_marked_trailing_run,
-                         first=2)
+    counts, rows = _walk(b, n_max, node_budget,
+                         STATISTICS["marked_trailing_run"], first=2)
     counts[0] = 0
     matrix = [[0]] + [row[:n + 1] for n, row in enumerate(rows) if n]
     return CountReport(basis=b, counts=counts,

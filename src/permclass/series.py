@@ -167,13 +167,6 @@ class UnivariateSeries(_Series):
     def __truediv__(self, other: "UnivariateSeries"):
         return self * other.inverse()
 
-    # -- access ------------------------------------------------------
-
-    def coefficient(self, n: int) -> Coeff:
-        if n > self.order:
-            raise SeriesError("coefficient beyond truncation order")
-        return self.c[n]
-
     def __repr__(self):
         head = ", ".join(str(x) for x in self.c[:6])
         return "UnivariateSeries([%s%s], order=%d)" % (

@@ -326,6 +326,39 @@ def test_growth_terms_30_exact_output(capsys, class_id):
     assert json.loads(out) == payload
 
 
+TABLES = {
+    "count_both_text": (
+        ("count", "--class", "class_a", "--method", "both", "--n", "4"),
+        "0\t1\t1\tMATCH\n1\t1\t1\tMATCH\n2\t2\t2\tMATCH\n"
+        "3\t6\t6\tMATCH\n4\t22\t22\tMATCH\n"),
+    "count_both_csv": (
+        ("count", "--class", "class_a", "--method", "both", "--n", "4",
+         "--format", "csv"),
+        "n,oracle,functional_equation,match\n0,1,1,true\n1,1,1,true\n"
+        "2,2,2,true\n3,6,6,true\n4,22,22,true\n"),
+    "count_oracle_csv": (
+        ("count", "--class", "class_b", "--method", "oracle", "--n", "4",
+         "--format", "csv"),
+        "n,oracle\n0,1\n1,1\n2,2\n3,6\n4,22\n"),
+    "distribution_text": (
+        ("distribution", "--class", "class_a", "--n", "3"),
+        "0,0,1\n1,1,1\n2,1,1\n2,2,1\n3,1,3\n3,2,2\n3,3,1\n"),
+    "distribution_empty_csv": (
+        ("distribution", "--class", "class_b", "--n", "0", "--stat",
+         "gap_count", "--format", "csv"),
+        "n,k,count\n"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_exact_output(capsys, name):
+    """The text and CSV tables of count and distribution, byte for byte
+    (a CSV bool is lower case; a distribution with no rows is only the
+    header)."""
+    argv, text = TABLES[name]
+    assert run_cli(capsys, *argv) == (0, text, "")
+
+
 @pytest.mark.parametrize("command", [
     ("verify", "--fixture", "eq6", "--order", "1500"),
     ("guess", "--terms", "1500", "--dy", "3", "--dz", "4"),

@@ -56,7 +56,8 @@ def test_every_statistic_matches_filtered_avoiders(basis):
     updated from its parent's, equal the statistic evaluated on every
     avoider found by filtering all permutations."""
     avoiders = [oracle.filter_all_avoiders(basis, n) for n in range(8)]
-    for stat, fn in oracle.STATISTICS.items():
+    for stat in oracle.STATISTICS:
+        fn = getattr(perms, stat)   # the reference, on whole permutations
         rep = oracle.statistic_distribution(basis, 7, stat)
         for n, row in enumerate(rep.distributions[stat]):
             want = [0] * len(row)
@@ -142,12 +143,12 @@ def test_budget_counts_candidate_children():
         oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=682)
 
 
-@pytest.mark.parametrize("stat", sorted(oracle._STEPS))
+@pytest.mark.parametrize("stat", sorted(oracle.STATISTICS))
 def test_step_constant_on_each_value_class(stat):
     """The last length is tallied by popcount over the appended values
     1, 2..last and last+1..n+1, so every step must be constant on each
     (the empty parent's last entry is taken as 1)."""
-    step = oracle._STEPS[stat]
+    step = oracle.STATISTICS[stat]
     for n in range(8):
         for last in range(max(n, 1) + 1):
             for s in range(n + 2):
