@@ -6,6 +6,7 @@ A polynomial carries its own ordered tuple of variable names; terms map
 exponent tuples to nonzero integer coefficients.  The canonical term
 order is descending lexicographic on exponent tuples, which also fixes
 the serialization and the leading term used for exact division.
+Evaluation is sparse multivariate Horner, dense series values outermost.
 """
 from __future__ import annotations
 
@@ -241,28 +242,40 @@ class MultivariatePolynomial:
     # -- evaluation -----------------------------------------------------
 
     def eval(self, assignment: Mapping):
-        """Substitute a value for every variable.  Values may be ints,
-        Fractions, or series objects (anything supporting + and * with
-        itself and with ints); powers are cached per variable."""
+        """Substitute a value for every variable, by sparse multivariate
+        Horner (Knuth, TAOCP vol. 2, 4.6.4).  Values may be ints,
+        Fractions or series.
+
+        The terms are grouped by the exponent of one variable x, each
+        group's coefficient is evaluated the same way in the remaining
+        variables, and the groups are combined from the top as
+        acc * x^gap + inner, with x^gap by binary powering.  Series with
+        two or more nonzero coefficients are taken outermost, by
+        decreasing degree, because only a product with them is a full
+        series product and the outermost variable is multiplied least
+        often; scalars and monomial series such as z go innermost, where
+        a product is a scaling or a shift.  The zero polynomial gives 0
+        and a constant polynomial its coefficient, an int.
+
+        >>> z, y = MultivariatePolynomial.variables("z", "y")
+        >>> (z * y ** 2 - y + 1).eval({"z": 2, "y": 3})
+        16
+        >>> (z * y ** 2 - y + 1).eval({"z": 3, "y": Fraction(1, 2)})
+        Fraction(5, 4)
+        """
         for v in self.vars:
             if v not in assignment:
                 raise KeyError("no value for variable %r" % v)
-        caches: list[list] = [[1, assignment[v]] for v in self.vars]
-
-        def power(i: int, k: int):
-            cache = caches[i]
-            while len(cache) <= k:
-                cache.append(cache[-1] * cache[1])
-            return cache[k]
-
-        total = 0
-        for e, c in sorted(self.terms.items()):
-            term = c
-            for i, k in enumerate(e):
-                if k:
-                    term = power(i, k) * term
-            total = total + term
-        return total
+        if not self.terms:
+            return 0
+        values = [assignment[v] for v in self.vars]
+        degrees = [max(e[i] for e in self.terms)
+                   for i in range(len(self.vars))]
+        order = sorted(range(len(self.vars)),
+                       key=lambda i: (-_product_cost(values[i]), -degrees[i]))
+        terms = [(tuple(e[i] for i in order), c)
+                 for e, c in self.terms.items()]
+        return _horner(terms, [values[i] for i in order], 0)
 
     # -- text form ------------------------------------------------------
 
@@ -319,6 +332,48 @@ class MultivariatePolynomial:
             else:
                 parts.append(("+ " if c > 0 else "- ") + body)
         return " ".join(parts)
+
+
+def _product_cost(value) -> int:
+    """0 for a scalar, 1 for a series with at most one nonzero
+    coefficient (a product with it is a scaled shift), 2 for any other
+    series."""
+    if isinstance(value, (int, Fraction)):
+        return 0
+    return 1 if sum(1 for x in value.c if x != 0) <= 1 else 2
+
+
+def _power(x, k: int):
+    """x^k for k >= 1 by binary powering, in O(log k) products."""
+    out = None
+    while True:
+        if k & 1:
+            out = x if out is None else out * x
+        k >>= 1
+        if not k:
+            return out
+        x = x * x
+
+
+def _horner(terms: list, values: list, depth: int):
+    """The sum of c * prod_i values[i]^e[i] over the (e, c) in terms,
+    whose exponents e agree before index ``depth``: Horner in
+    values[depth] over groups of equal e[depth], recursing on each
+    group."""
+    if depth == len(values):
+        return terms[0][1]
+    groups: dict = {}
+    for e, c in terms:
+        groups.setdefault(e[depth], []).append((e, c))
+    x = values[depth]
+    keys = sorted(groups, reverse=True)
+    acc = _horner(groups[keys[0]], values, depth + 1)
+    for hi, lo in zip(keys, keys[1:]):
+        # x^gap goes first: when it is a monomial series, series_mul
+        # skips all of its coefficients but one
+        acc = _power(x, hi - lo) * acc + _horner(groups[lo], values,
+                                                 depth + 1)
+    return _power(x, keys[-1]) * acc if keys[-1] else acc
 
 
 def sylvester_matrix(p: MultivariatePolynomial, q: MultivariatePolynomial,

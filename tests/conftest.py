@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from permclass import class_a, class_b, oracle, perms
+from permclass import _kernels, class_a, class_b, oracle, perms
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -38,6 +38,20 @@ def oracle_distributions_10():
     statistic (see STATISTICS) to n = 10."""
     return {name: oracle.statistic_distribution(basis, 10, STATISTICS[name])
             for name, basis in BASES.items()}
+
+
+@pytest.fixture
+def series_products(monkeypatch):
+    """The operands (a, b, order) of every _kernels.series_mul call made
+    after the fixture is requested."""
+    log = []
+    series_mul = _kernels.series_mul
+
+    def logged(a, b, order):
+        log.append((a, b, order))
+        return series_mul(a, b, order)
+    monkeypatch.setattr(_kernels, "series_mul", logged)
+    return log
 
 
 def golden_text(name: str) -> str:

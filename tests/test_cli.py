@@ -205,6 +205,20 @@ def test_verify_corrupted_file_fails(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_verify_huge_exponent_costs_log_products(tmp_path, capsys,
+                                                series_products):
+    """y^100000000 is formed by binary powering: a few dozen series
+    products, where one product per unit of the exponent would never
+    finish."""
+    poly = tmp_path / "huge.txt"
+    poly.write_text("vars: z y\n1:y^100000000 -1:z\n")
+    code, out, _ = run_cli(capsys, "verify", "--class", "class_a",
+                           "--poly", str(poly), "--order", "20")
+    assert code == cli.EXIT_VERIFY_FAILED
+    assert out.splitlines()[0] == "residual order: 0"
+    assert len(series_products) <= 64
+
+
 def test_verify_unparseable_file_distinct_code(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a polynomial\n")

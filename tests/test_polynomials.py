@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from permclass import algebraic, class_b, cli, fixtures
 from permclass.algebraic import m1_poly
 from permclass.polynomials import (MultivariatePolynomial,
                                    NotDivisibleError, RamificationError,
@@ -158,3 +159,110 @@ def test_lift_and_partial_eval():
     lifted = p.lift(("w", "z", "y"))
     assert lifted.degree("w") == 0
     assert lifted.coefficient_in("w", 0) == p
+
+
+def test_eval_edge_semantics():
+    z, y = zy()
+    s = UnivariateSeries([1, 2, 3], 2)
+    zero = MultivariatePolynomial.zero(("z", "y")).eval({"z": s, "y": s})
+    assert zero == 0 and type(zero) is int
+    const = MultivariatePolynomial.constant(("z", "y"), -7).eval(
+        {"z": s, "y": Fraction(1, 2)})
+    assert const == -7 and type(const) is int
+    with pytest.raises(KeyError) as missing:
+        (z * y).eval({"z": s})
+    assert missing.value.args == ("no value for variable 'y'",)
+
+
+# -- eval against a term-by-term reference in plain lists ---------------
+
+def _ref_mul(a: list, b: list) -> list:
+    """Truncated Cauchy product of two coefficient lists, cut to the
+    shorter length."""
+    n = min(len(a), len(b))
+    return [sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(n)]
+
+
+def _ref_eval(terms: dict, values: list):
+    """sum c * prod values[i]^e[i], one term and one factor at a time.
+    A value is a scalar or a list of series coefficients; the result is
+    a list, cut to the shortest series that occurs, or a scalar when no
+    series occurs."""
+    used = [v for i, v in enumerate(values)
+            if isinstance(v, list) and any(e[i] for e in terms)]
+    n = min(map(len, used)) if used else 0
+    total = [0] * n if used else 0
+    for e, c in terms.items():
+        term = [c] + [0] * (n - 1) if used else c
+        for v, k in zip(values, e):
+            for _ in range(k):
+                if isinstance(v, list):
+                    term = _ref_mul(term, v)
+                elif used:
+                    term = [x * v for x in term]
+                else:
+                    term = term * v
+        total = [x + y for x, y in zip(total, term)] if used else total + term
+    return total
+
+
+_scalar = st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=4)
+_series = (
+    st.builds(lambda c, zero_head: [0] + c[1:] if zero_head else c,
+              st.lists(_scalar, min_size=1, max_size=7), st.booleans())
+    | st.builds(lambda k, n: [0] * k + [1] + [0] * n,
+                st.integers(0, 3), st.integers(0, 3)))
+
+
+@st.composite
+def eval_cases(draw):
+    names = ("z", "y", "t")[:draw(st.integers(1, 3))]
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(0, 40) for _ in names]),
+        st.integers(-5, 5).filter(bool), max_size=6))
+    values = [draw(_scalar | _series) for _ in names]
+    return MultivariatePolynomial(names, terms), values
+
+
+@settings(deadline=None)
+@given(eval_cases())
+def test_eval_matches_term_by_term_reference(case):
+    poly, values = case
+    got = poly.eval({
+        name: UnivariateSeries(v) if isinstance(v, list) else v
+        for name, v in zip(poly.vars, values)})
+    want = _ref_eval(poly.terms, values)
+    if isinstance(want, list):
+        assert isinstance(got, UnivariateSeries)
+        assert (got.order, got.c) == (len(want) - 1, want)
+    else:
+        assert got == want
+
+
+# -- the number and size of the series products eval forms -------------
+
+def test_degree8_check_is_horner_in_y(series_products):
+    """Only the deg_y = 8 Horner steps in y multiply two series with two
+    or more nonzero coefficients; the steps in z multiply by a power of
+    z, which has one."""
+    f1 = class_b.iterate(200).f.subst_t(1)
+    poly = fixtures.degree8_min_poly()
+    del series_products[:]
+    assert algebraic.verify_annihilation(
+        poly, {"z": UnivariateSeries.z(200), "y": f1}, 200) == 201
+    dense = sum(1 for a, b, _ in series_products
+                if sum(map(bool, a)) >= 2 and sum(map(bool, b)) >= 2)
+    assert dense <= poly.degree("y") == 8
+
+
+def test_kernel_check_40_coefficient_products(series_products, capsys):
+    """The kernel check at order 40 forms at most 80,000 coefficient
+    products in all (154,088 with one product per variable per term)."""
+    assert cli.main(["kernel-check", "--order", "40"]) == 0
+    assert capsys.readouterr().out.endswith("kernel check: PASS\n")
+    work = 0
+    for a, b, order in series_products:
+        nonzero_b = [j for j, x in enumerate(b) if x]
+        work += sum(1 for i, x in enumerate(a) if x
+                    for j in nonzero_b if i + j <= order)
+    assert work <= 80000
