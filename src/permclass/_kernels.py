@@ -1,29 +1,44 @@
-"""The hot kernels: series convolutions and the oracle's avoidance masks.
+"""The hot kernels: series convolutions and the oracle's generating trees.
 
 Coefficients are arbitrary Python numbers (ints or Fractions), so the
 convolutions are exact object arithmetic.
 
-The forbidden mask of a permutation p has bit w set when appending w
-(the other entries relabelled) makes a basis occurrence ending at w.
-It follows from p's parent,
+The oracle makes the children of an avoider p of length n by appending
+a value v in 1..n+1, the slot v, its entries >= v raised by one.  A
+slot is forbidden when p+v contains a basis pattern, and free
+otherwise.  Slot 1 is always free, because no basis pattern ends in
+its 1.  Appending v splits slot v in two: the child's slots below v are
+p's, its slots v and v+1 are v's lower and upper copies, and its slot
+w+1 is p's slot w for w > v.  An occurrence in p+v+w that does not use
+v is one in p+w', so a forbidden slot stays forbidden in every
+descendant.  The new forbidden slots are those whose occurrence has v
+as its third of four entries, one interval that follows from a small
+state of p.  So the subtree below p depends only on p's free slots F
+and on where its state falls among them (the "active sites" of West,
+Discrete Math. 146, 1995, and Bousquet-Melou, Electron. J. Combin.
+9(2), 2003).  That is p's label, written in ranks
+rank_F(x) = |{f in F : f <= x}|:
 
-    mask(p+v) = split(mask(p), v) | ext(state of p, v),
+  - class A, state P(1..n+1), P(u) the largest top p_j of an ascent
+    p_i < p_j (i < j) with p_i >= u, or 0: the tuple of rank_F(P(f))
+    over the free slots f, non-increasing because P is;
+  - class B, state (g, M1), g the least entry with a smaller entry
+    after it (n+1 for none) and M1 the maximum after the entry 1 (0
+    when 1 is last or p is empty): (|F|, rank_F(g), rank_F(M1)).
 
-where ``split`` (see ``split_mask``) carries p's own occurrences over,
-gap v split in two, and ``ext``, one interval, covers the occurrences
-that use v as the third of their four entries.  The state is small:
-P(1..n+1) for class A, (g, M1) for class B.  ``class_{a,b}_ext`` give
-the interval for one appended value and ``class_{a,b}_child`` the state
-of p+v; ``GENERATING_TREES`` holds them with the empty permutation's
-state.  The oracle walk applies them to each avoider, so avoiders with
-equal masks and states have equal subtrees; ``forbidden`` folds them
-along one permutation.  The child checks ``class_{a,b}_child_ok`` exist
-only because ``perfbench/tracing.py`` wraps them; the walk calls
-neither.
+``class_{a,b}_child(label, a)`` give the label of p+v, v the free slot
+of rank a, and rank_F'(v) over the child's free slots F', the rank of
+its last entry.  ``LABEL_TREES`` holds them with the empty permutation's label
+and a label's number of free slots.  The child checks
+``class_{a,b}_child_ok`` exist only because ``perfbench/tracing.py``
+wraps them; the walk calls neither.
 """
 from __future__ import annotations
 
-from .perms import Basis, CLASS_A_BASIS, CLASS_B_BASIS
+from operator import itemgetter
+
+from .perms import (Basis, CLASS_A_BASIS, CLASS_B_BASIS, Perm,
+                    contains_ending_at_last)
 
 BACKEND = "python"  # the kernel implementation, recorded by benchmark runs
 
@@ -53,117 +68,103 @@ def series_mul(a: list, b: list, order: int) -> list:
     return out
 
 
-def split_mask(m: int, v: int) -> int:
-    """The forbidden mask of p as seen from p+v: bits below v stay and
-    bits from v up move up by one, bit v going to both v and v+1.  An
-    occurrence in p+v+w that avoids v is one in p+w', and gap w' = v of
-    p is split by v into gaps v and v+1."""
-    return (m & ((2 << v) - 1)) | (m >> v << (v + 1))
+def class_a_child(label: tuple, a: int) -> tuple[tuple, int]:
+    """The class-A label of p+v and the rank of v among its free slots
+    F', from p's label L (k = len(L) free slots) and v's rank a.
 
-
-def class_a_ext(state: tuple, v: int) -> int:
-    """As a bit mask, the values w whose appending to p+v (p of length
-    n, its entries >= v raised by one, v in 1..n+1) makes an occurrence
-    of 2413 or 3412 with v as its third entry.  ``state`` is P(1..n+1)
-    of p: P(u) is the largest top p_j of an ascent p_i < p_j (i < j)
-    with p_i >= u, or 0 for none.
-
-    Write q = p+v, so q_k = v and q_i = p_i + 1 > v for p_i >= v.  An
-    occurrence 2413 is q_k < q_i < w <= q_j with i < j < k, that is an
+    Write q = p+v, q_k = v, rel(t) = t + [t >= v].  An occurrence 2413
+    ending at w is q_k < q_i < w <= q_j with i < j < k, that is an
     ascent p_i < p_j with p_i >= v and w in (p_i+1, p_j+1]; 3412 is
-    q_k < w <= q_i < q_j, the same ascents with w in (v, p_i+1].  Their
-    union over all such ascents is (v, P(v)+1].
+    q_k < w <= q_i < q_j, the same ascents with w in (v, p_i+1].  So
+    the new forbidden slots are (v, P(v)+1].  An ascent of q lies in p,
+    relabelled, or ends at v, and every value below v precedes v: so
+    P'(u) is rel(P(u)) for u <= v and rel(P(u-1)) for u > v, rel(0) =
+    0, and for u < v it is raised to v.
+
+    Let R = L[a-1] = rank_F(P(v)), 0 exactly when P(v) is (slot 1 is
+    free).  If R > 0, P(v) > v, and the new forbidden slots are v's
+    upper copy and p's free slots of rank a+1..R.  The child's free
+    slots are p's of rank < a, then v, then p's of rank > R.  For free
+    f < v, P(f) >= P(v), so P'(f) = P(f)+1, and the child's free slots
+    up to it are a of rank <= a and p's in (P(v), P(f)]: rank
+    a + L[f] - R.  P'(v) = P(v)+1 has rank a.  For free f > P(v), P'
+    at f+1 is 0 or P(f)+1, of rank a + L[f] - R.
+
+    If R = 0, nothing is forbidden anew, and the child has k+1 free
+    slots: p's below v, both copies of v, p's above v.  P vanishes from
+    v on, so P' does on v's copies and above, k-a+2 zeros.  For free
+    f < v, P'(f) is v, of rank a, when P(f) < v, that is L[f] < a; else
+    it is P(f)+1, above both copies of v, of rank L[f]+1.
+
+    Either way v is the child's free slot of rank a.
     """
-    top = state[v - 1]
-    return (4 << top) - (2 << v) if top else 0
+    top = label[a - 1]
+    if top:
+        d = a - top
+        return (tuple([r + d for r in label[:a - 1]]) + (a,)
+                + tuple([r + d if r else 0 for r in label[top:]])), a
+    return (tuple([r + 1 if r >= a else a for r in label[:a - 1]])
+            + (0,) * (len(label) - a + 2)), a
 
 
-def class_a_child(state: tuple, v: int) -> tuple:
-    """The state (see ``class_a_ext``) of p+v from that of p.  An
-    ascent of p+v either lies in p, relabelled by rel(t) = t + [t >= v],
-    or ends at v.  For u <= v, rel(p_i) >= u exactly when p_i >= u; for
-    u > v, exactly when p_i >= u - 1.  So P'(u) is rel(P(u)) for u <= v
-    and rel(P(u-1)) for u > v, rel(0) = 0.  Every value below v
-    precedes v, so for u < v some p_i in [u, v) tops out at v as well:
-    P'(u) is raised to v.  A nonzero P(u) exceeds u, so for u >= v it
-    is raised by one.
-    """
-    head = tuple(t + 1 if t >= v else v for t in state[:v - 1])
-    tail = tuple(t + 1 if t else 0 for t in state[v - 1:])
-    return head + tail[:1] + tail
+def class_b_child(label: tuple, a: int) -> tuple[tuple, int]:
+    """Like ``class_a_child`` for 1432 and 2143, the label (k, G, M)
+    with G = rank_F(g) and M = rank_F(M1).
 
-
-def class_b_ext(state: tuple, v: int) -> int:
-    """Like ``class_a_ext`` for 1432 and 2143.  ``state`` is (g, M1) of
-    p: g the least entry with a smaller entry after it (n+1 for none),
-    M1 the maximum after the entry 1 (0 when 1 is last or p is empty).
-
-    With q = p+v and q_k = v: 1432 is q_i < w <= q_k < q_j, that is
-    p_i < v with a later p_j >= v and w in (p_i, v]; 2143 is
+    With q = p+v and q_k = v: 1432 ending at w is q_i < w <= q_k < q_j,
+    that is p_i < v with a later p_j >= v and w in (p_i, v]; 2143 is
     q_j < q_i < w <= q_k, that is p_i < v with a later entry below it
-    and w in (p_i, v].  The union is (m, v], m the least such p_i.
-    Two kinds of p_i qualify:
+    and w in (p_i, v].  The new forbidden slots are (m, v], m the least
+    such p_i.  An entry with a later smaller one qualifies when v
+    exceeds it, and the least of these is g.  A right-to-left minimum
+    qualifies when v is at most the maximum after it, and the entry 1
+    has the least value and the largest such maximum, M1.  So the
+    interval is (1, v] for v <= M1, else (g, v] for v > g, else empty.
+    The entries with a smaller one after them are those of p,
+    relabelled, and those above v: g' = min(g + [g >= v], v+1).  The
+    entry 1 is v itself, and last, when v = 1; otherwise v joins the
+    entries after it: M1' = v if M1 = 0, else max(M1 + [M1 >= v], v).
 
-      - one with a later entry below it, for every v > p_i; the least
-        of these is g, so g qualifies exactly when v > g;
-      - a right-to-left minimum, when v <= the maximum after it.  The
-        leftmost right-to-left minimum, the entry 1, has both the
-        least value and the largest maximum after it, M1, so wherever
-        another one qualifies 1 does too: m = 1 when 1 < v <= M1.
-
-    So the mask is (1, v] for v <= M1 (empty for v = 1), else (g, v]
-    for v > g, else empty.
+    In ranks, v free gives v > g exactly when G < a and v <= M1 exactly
+    when M >= a; M = 0 exactly when M1 = 0.
+      - a = 1: nothing is forbidden anew, so k+1 slots are free; g' = 2
+        has rank 2 (both copies of 1 are free) and M1' = 0; v ranks 1.
+      - M >= a: slots 2..v go, v's lower copy among them, leaving slot
+        1, v+1 and p's k-a slots above v.  g' is g, of rank 1, when
+        G < a, else v+1, of rank 2.  M1' = M1+1 has rank 2 + M - a.
+        v ranks 1.
+      - G < a: slots g+1..v go, p's free slots of rank G+1..a-1 and
+        v's lower copy, leaving G + 1 + k - a.  g' = g keeps rank G,
+        and M1' = v ranks G, as v does.
+      - otherwise nothing is forbidden anew: k+1 free slots, g' = v+1
+        of rank a+1, and M1' = v of rank a, as v.
     """
-    g, m1 = state
-    if v <= m1:
-        return (2 << v) - 4
-    return (2 << v) - (2 << g) if v > g else 0
+    k, g, m = label
+    if a == 1:
+        return (k + 1, 2, 0), 1
+    if m >= a:
+        return (k - a + 2, 1 if g < a else 2, m - a + 2), 1
+    if g < a:
+        return (g + 1 + k - a, g, g), g
+    return (k + 1, a + 1, a), a
 
 
-def class_b_child(state: tuple, v: int) -> tuple:
-    """The state (see ``class_b_ext``) of p+v from that of p, of length
-    n.  The entries with a smaller one after them are those of p,
-    relabelled, and those above v, the least of which is v+1 (n+2, for
-    none, when v = n+1): g' = min(g + [g >= v], v + 1).  The entry 1
-    is v itself, and last, when v = 1; otherwise it stays 1 and v joins
-    the entries after it: M1' = v if M1 = 0, else max(M1 + [M1 >= v],
-    v).
-    """
-    g, m1 = state
-    g = min(g + (g >= v), v + 1)
-    if v == 1:
-        return g, 0
-    return g, max(m1 + (m1 >= v), v) if m1 else v
-
-
-# Per basis: the state of the empty permutation, ext and child.
-GENERATING_TREES: dict[Basis, tuple] = {
-    CLASS_A_BASIS: ((0,), class_a_ext, class_a_child),
-    CLASS_B_BASIS: ((1, 0), class_b_ext, class_b_child),
+# Per basis: the empty permutation's label (one free slot), the number
+# of free slots of a label, and the child's label.
+LABEL_TREES: dict[Basis, tuple] = {
+    CLASS_A_BASIS: ((0,), len, class_a_child),
+    CLASS_B_BASIS: ((1, 1, 0), itemgetter(0), class_b_child),
 }
-
-
-def forbidden(p: list, basis: Basis) -> int:
-    """The forbidden mask of ``p`` for ``basis``, whether or not p avoids
-    it; distinct positive values stand for their relative order.  Folds
-    mask(p+v) = split_mask(mask(p), v) | ext(state, v) one entry at a
-    time from the empty permutation, each v its entry's rank so far."""
-    state, ext, child = GENERATING_TREES[basis]
-    mask = seen = 0
-    for x in p:
-        seen |= 1 << x
-        v = (seen & ((2 << x) - 1)).bit_count()
-        mask = split_mask(mask, v) | ext(state, v)
-        state = child(state, v)
-    return mask
 
 
 def class_a_child_ok(q: list, v: int) -> bool:
     """Whether ``q``, a permutation of 1..n+1 ending in ``v`` whose
     prefix avoids 2413 and 3412, still avoids them."""
-    return not forbidden(q[:-1], CLASS_A_BASIS) >> v & 1
+    return not any(contains_ending_at_last(Perm(q), sigma)
+                   for sigma in CLASS_A_BASIS.patterns)
 
 
 def class_b_child_ok(q: list, v: int) -> bool:
     """Like ``class_a_child_ok`` for 1432 and 2143."""
-    return not forbidden(q[:-1], CLASS_B_BASIS) >> v & 1
+    return not any(contains_ending_at_last(Perm(q), sigma)
+                   for sigma in CLASS_B_BASIS.patterns)

@@ -77,9 +77,22 @@ def test_count_budget_exhaustion_exit_code(capsys):
                            "--node-budget", "50")
     assert code == cli.EXIT_BUDGET
     assert "budget of 50" in err
-    # lengths 1..4 spend 1 + 2 + 6 + 24 = 33, length 5 another 5 * 22
+    # lengths 1..4 form 1 + 2 + 6 + 18 = 27 children, length 5 another
+    # 51, one per free slot of the 12 labels of length 4 (2 + 3 * 3 +
+    # 8 * 5)
     assert "generating length 5; lengths up to 4 are complete;" in err
     assert "--node-budget" in err and oracle.BUDGET_ENV_VAR in err
+
+
+def test_count_default_budget_stops_class_b(capsys, monkeypatch):
+    """The default budget stops an oracle count that asks for too much
+    with one line naming the last complete length."""
+    monkeypatch.delenv(oracle.BUDGET_ENV_VAR, raising=False)
+    code, out, err = run_cli(capsys, "count", "--class", "class_b",
+                             "--n", "1000", "--method", "oracle")
+    assert code == cli.EXIT_BUDGET and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: node budget")
+    assert "generating length 43; lengths up to 42 are complete;" in err
 
 
 def test_count_invalid_budget_env_var_names_it(capsys, monkeypatch):

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from permclass import _kernels, perms
 
+import mask_model
+
 perm_lists = st.permutations(range(1, 9))
 values = st.integers(min_value=1, max_value=9)
 any_perms = st.integers(0, 12).flatmap(
@@ -100,10 +102,10 @@ def _state_of_b(p):
     return g, m1
 
 
-BASES = [(perms.CLASS_A_BASIS, _state_of_a, _kernels.class_a_ext,
-          _kernels.class_a_child),
-         (perms.CLASS_B_BASIS, _state_of_b, _kernels.class_b_ext,
-          _kernels.class_b_child)]
+BASES = [(perms.CLASS_A_BASIS, _state_of_a, mask_model.class_a_ext,
+          mask_model.class_a_child),
+         (perms.CLASS_B_BASIS, _state_of_b, mask_model.class_b_ext,
+          mask_model.class_b_child)]
 BASIS_IDS = ["class_a", "class_b"]
 
 
@@ -111,7 +113,8 @@ BASIS_IDS = ["class_a", "class_b"]
 @given(any_perms)
 def test_forbidden_matches_generic_containment(basis, p):
     p = list(p)
-    assert _kernels.forbidden(p, basis) == _forbidden_by_containment(p, basis)
+    assert mask_model.forbidden(p, basis) == \
+        _forbidden_by_containment(p, basis)
 
 
 @pytest.mark.parametrize("basis", [b[0] for b in BASES], ids=BASIS_IDS)
@@ -121,23 +124,82 @@ def test_occurrence_masks_match_containment(basis):
             assert mask == _forbidden_by_containment(list(q), basis), q
 
 
+@functools.cache
+def _masks_to_8(basis):
+    """``_masks_by_occurrences`` of every permutation of length <= 8."""
+    masks = {}
+    for n in range(9):
+        masks.update(_masks_by_occurrences(n, basis))
+    return masks
+
+
 @pytest.mark.parametrize("basis, state_of, ext, child", BASES,
                          ids=BASIS_IDS)
 def test_child_mask_from_parent_exhaustive(basis, state_of, ext, child):
     """For every p of length <= 7 (avoider or not) and every v, the
     state of p+v follows from that of p, and mask(p+v) =
     split(mask(p), v) | ext(state of p, v), both masks by containment."""
-    masks = {}
-    for n in range(9):
-        masks.update(_masks_by_occurrences(n, basis))
+    masks = _masks_to_8(basis)
     for n in range(8):
         for p in itertools.permutations(range(1, n + 1)):
             state = state_of(list(p))
             for v in range(1, n + 2):
                 q = _child(list(p), v)[0]
                 assert child(state, v) == state_of(q), (p, v)
-                assert _kernels.split_mask(masks[p], v) | ext(state, v) == \
-                    masks[tuple(q)], (p, v)
+                assert mask_model.split_mask(masks[p], v) | ext(state, v) \
+                    == masks[tuple(q)], (p, v)
+
+
+def _label_and_free(p, mask, basis, state_of):
+    """The label of p, from its mask and its state computed from
+    scratch, and its free slots."""
+    n = len(p)
+    free = [f for f in range(1, n + 2) if not mask >> f & 1]
+    return mask_model.label(mask, state_of(p), n, basis), free
+
+
+def _check_child_label(p, mask_of, basis, state_of):
+    """The label kernel's child of p at each free slot v is the label of
+    p+v and the number of its free slots <= v, both from ``mask_of``."""
+    child = _kernels.LABEL_TREES[basis][2]
+    label, free = _label_and_free(p, mask_of(p), basis, state_of)
+    assert free[0] == 1     # no basis pattern ends in its 1
+    for a, v in enumerate(free, 1):
+        q = _child(p, v)[0]
+        want, q_free = _label_and_free(q, mask_of(q), basis, state_of)
+        last = sum(f <= v for f in q_free)
+        assert child(label, a) == (want, last), (p, v)
+
+
+@pytest.mark.parametrize("basis, state_of", [b[:2] for b in BASES],
+                         ids=BASIS_IDS)
+def test_child_label_from_parent_exhaustive(basis, state_of):
+    """For every avoider p of length <= 7 and every free slot v, the
+    label of p+v and the rank of v among its free slots (the number of
+    them <= v) follow from the label of p and the rank of v, free slots
+    by containment."""
+    masks = _masks_to_8(basis)
+    for n in range(8):
+        for p in itertools.permutations(range(1, n + 1)):
+            if perms.avoids_basis(perms.Perm(p), basis):
+                _check_child_label(list(p), lambda q: masks[tuple(q)],
+                                   basis, state_of)
+
+
+@pytest.mark.parametrize("basis, state_of", [b[:2] for b in BASES],
+                         ids=BASIS_IDS)
+@given(data=st.data())
+def test_child_label_from_parent_matches_containment(basis, state_of,
+                                                     data):
+    """Like the exhaustive test for an avoider of length <= 11, grown
+    one free slot at a time, and its children."""
+    p = []
+    for _ in range(data.draw(st.integers(0, 11))):
+        mask = mask_model.forbidden(p, basis)
+        p = _child(p, data.draw(st.sampled_from(
+            [f for f in range(1, len(p) + 2) if not mask >> f & 1])))[0]
+    _check_child_label(p, lambda q: _forbidden_by_containment(q, basis),
+                       basis, state_of)
 
 
 @pytest.mark.parametrize("basis, state_of, ext, child", BASES,
@@ -152,7 +214,7 @@ def test_child_mask_from_parent_matches_containment(basis, state_of, ext,
     want = _forbidden_by_containment(q, basis)
     parent = _forbidden_by_containment(p, basis)
     state = state_of(p)
-    assert _kernels.split_mask(parent, v) | ext(state, v) == want
+    assert mask_model.split_mask(parent, v) | ext(state, v) == want
     assert child(state, v) == state_of(q)
 
 
