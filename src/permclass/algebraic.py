@@ -234,13 +234,22 @@ def verify_annihilation(poly: MultivariatePolynomial, assignment: dict,
     the assignment (series and/or rationals), or order+1 when the
     result vanishes through the truncation.  Verification at order N
     passes iff the return value exceeds N."""
-    assign = {}
-    for name in poly.vars:
-        value = assignment[name]
-        if isinstance(value, UnivariateSeries):
-            value = value.truncate(min(order, value.order))
-        assign[name] = value
-    value = poly.eval(assign)
+    return _residual_order(_evaluate(poly, assignment, order), order)
+
+
+def _evaluate(poly: MultivariatePolynomial, assignment: dict, order: int):
+    """poly at the assignment, its series truncated to ``order``."""
+    return poly.eval({name: _truncated(assignment[name], order)
+                      for name in poly.vars})
+
+
+def _truncated(value, order: int):
+    if isinstance(value, UnivariateSeries):
+        return value.truncate(min(order, value.order))
+    return value
+
+
+def _residual_order(value, order: int) -> int:
     if isinstance(value, UnivariateSeries):
         return value.valuation()
     return 0 if value else order + 1
@@ -347,16 +356,19 @@ def kernel_extract() -> KernelDecomposition:
     r = p - k.lift(_KVARS) * y0
     if r.degree("y0") > 0:
         raise ArithmeticError("remainder still involves y0")
+    if k.lift(_KVARS) * y0 + r != p:   # kernel_root_check relies on it
+        raise ArithmeticError("P is not K*y0 + R")
     return KernelDecomposition(P=p, K=k, R=r, cofactor=cofactor)
 
 
 def kernel_root_check(n_max: int, state: "class_b.ClassBState") -> dict:
     """Compute the kernel root t1(z) and verify the annihilations the
     kernel method rests on.  Returns a report dict with the four
-    residual orders (verify_annihilation of m1, K, R and P at one
-    assignment: t = t1, y0 = f(z, t1) and y1..y3 the class-B auxiliary
-    series), each of which exceeds n_max when its check passes, and the
-    cofactor of the kernel decomposition.
+    residual orders (as verify_annihilation gives them, of m1, K, R and
+    P at one assignment: t = t1, y0 = f(z, t1) and y1..y3 the class-B
+    auxiliary series), each of which exceeds n_max when its check
+    passes, and the cofactor of the kernel decomposition.  P's value is
+    K's times y0 plus R's.
     """
     if state.order < n_max:
         raise ValueError("state order below requested check order")
@@ -365,11 +377,16 @@ def kernel_root_check(n_max: int, state: "class_b.ClassBState") -> dict:
     f1, ft1, frecip = class_b.auxiliary_series(state)
     at = {"y0": state.f.subst_t(t1), "y1": f1, "y2": ft1, "y3": frecip,
           "z": UnivariateSeries.z(n_max), "t": t1}
+    k_at = _evaluate(decomp.K, at, n_max)
+    r_at = _evaluate(decomp.R, at, n_max)
+    # P = K*y0 + R, checked by kernel_extract, so P's value at the
+    # assignment follows from the two values already formed
+    p_at = k_at * _truncated(at["y0"], n_max) + r_at
     return {
         "m1_residual_order": verify_annihilation(m1_poly(), at, n_max),
-        "kernel_residual_order": verify_annihilation(decomp.K, at, n_max),
-        "r_residual_order": verify_annihilation(decomp.R, at, n_max),
-        "p_residual_order": verify_annihilation(decomp.P, at, n_max),
+        "kernel_residual_order": _residual_order(k_at, n_max),
+        "r_residual_order": _residual_order(r_at, n_max),
+        "p_residual_order": _residual_order(p_at, n_max),
         "cofactor": decomp.cofactor,
     }
 

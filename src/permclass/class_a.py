@@ -20,16 +20,32 @@ chain (see ``omega_apply``), the first equation factors as
 Both right-hand sides strictly raise z-order: row n (the z^n
 coefficient) of each right-hand side needs only rows below n of f and
 fskew.  ``iterate`` therefore computes the rows online, each row of
-every intermediate once.  Row n costs about n^3/6 coefficient products
-in the one bivariate product, (f-1) times W, and O(n^2) elsewhere, so
-order N costs about N^4/24 in all.
+every intermediate once.
+
+The one bivariate product, (f-1) times W, is formed by evaluation and
+interpolation in t (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 10).  The rows of (f-1)/z and of W are also kept as their
+values at t = 0, 1, 2, ..., and a point is added only when a row's
+t-degree first needs it, so the points never depend on the order asked
+for (the iteration stays online in the sense of van der Hoeven, "Relax,
+but don't be too lazy", JSC 2002).  Row n of the product is one dot
+product of length n+1 at each of its at most n+2 points, brought back
+to coefficients in O(n^2) by ``series.tpoly_interpolate``; evaluating
+the new rows at every point, and every row at a new point, is O(n^2)
+too.  So order N costs about N^3/3 value products, where a coefficient
+product would cost about N^4/24.  The values are longer numbers than
+the coefficients: at a point x <= n+1, row n's value is at most x^(n+1)
+times the sum of its coefficients, about (n+1) log2(n+1) bits more.
+The Omega chain and the division by (1-z)(1-tz) stay in coefficients,
+at O(n^2) per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .series import (BivariateSeries, OnlineQuotient, UnivariateSeries,
-                     check_counting, row_product, tpoly_sum)
+                     check_counting, tpoly_interpolate, tpoly_sum)
 
 
 @dataclass(frozen=True)
@@ -64,9 +80,11 @@ def iterate(n_max: int) -> ClassAState:
     """Compute f and fskew exactly to order n_max, one row at a time.
 
     Row s of fskew = z (f-1) W is row s-2 of ((f-1)/z) W, one row
-    product that needs rows below s of f and rows below s-1 of W.  Row
-    m of W = f1 + G/(1-z) is row m of f1 = f(z,1) plus the sum of rows
-    0..m of G.  Row s of f then follows from row s of fskew.
+    product that needs rows below s of f and rows below s-1 of W; see
+    ``_product_row``.  Row m of W = f1 + G/(1-z) is row m of
+    f1 = f(z,1) plus the sum of rows 0..m of G.  Row s of f then
+    follows from row s of fskew.  Row s costs about s^2 value products
+    and O(s^2) other work.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -74,25 +92,56 @@ def iterate(n_max: int) -> ClassAState:
     if n_max < 0:
         raise ValueError("order must be >= 0, got %d" % n_max)
     f, fskew = [[1]], [[0]]
-    f1 = [[1]]          # f(z,1), as rows of t-degree 0
+    f1 = [1]            # f(z,1)
     fz = []             # rows of (f-1)/z: fz[i] = f[i+1]
     h = [[0]]           # Omega chain: h[j][m-j] = [z^m] H_j
     g_sum = [0]         # the sum of the rows of G so far
     w = [[1]]           # rows of W
+    fz_at, w_at = [], []   # per point x: fz_at[x][i] = fz_i(x), likewise W
     quot = OnlineQuotient([1], [0, 1])   # fskew / ((1-z)(1-tz))
     quot.push(fskew[0])
     for s in range(1, n_max + 1):
-        row = row_product(fz, w, s - 2) if s >= 2 else [0]
+        row = _product_row(fz, w, fz_at, w_at) if s >= 2 else [0]
         fskew.append(row)
         f.append(tpoly_sum(quot.push(row), [0] * s + [1]))
-        f1.append([sum(f[s])])
+        f1.append(sum(f[s]))
         fz.append(f[s])
         g_sum = tpoly_sum(g_sum, _omega_chain_row(row, f1, h))
-        w.append(tpoly_sum(f1[s], g_sum))
+        w.append(tpoly_sum([f1[s]], g_sum))
+        for x, (fz_x, w_x) in enumerate(zip(fz_at, w_at)):
+            fz_x.append(_value(fz[-1], x))
+            w_x.append(_value(w[-1], x))
     state = ClassAState(order=n_max, f=BivariateSeries(f, n_max),
                         fskew=BivariateSeries(fskew, n_max))
     check_counting(state.f, state.fskew)
     return state
+
+
+def _product_row(fz: list, w: list, fz_at: list, w_at: list) -> list:
+    """Row n = len(fz) - 1 of fz W, sum_i fz_i W_{n-i}, from values.
+
+    Its t-degree is below max_i (len(fz_i) + len(W_{n-i})) - 1, the
+    number of points it needs; ``fz_at`` and ``w_at`` (per point so far,
+    the values of the rows of fz and of W) gain the points missing.  At
+    each point the row's value is one dot product, and
+    ``tpoly_interpolate`` turns the values back into coefficients.
+    """
+    n = len(fz) - 1
+    points = max(len(fz[i]) + len(w[n - i]) for i in range(n + 1)) - 1
+    for x in range(len(fz_at), points):
+        fz_at.append([_value(p, x) for p in fz])
+        w_at.append([_value(p, x) for p in w])
+    return tpoly_interpolate(
+        [sum(map(mul, a, reversed(b[:n + 1])))
+         for a, b in zip(fz_at[:points], w_at)])
+
+
+def _value(p: list, x: int) -> int:
+    """The polynomial p in t at t = x, by Horner."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def _omega_chain_row(w: list, f1: list, h: list) -> list:
@@ -100,7 +149,8 @@ def _omega_chain_row(w: list, f1: list, h: list) -> list:
     row n of w, and return that row of G = sum_j t^j H_j.
 
     H_j starts at z^j because row m of w has t-degree at most m, so
-    column j of ``h`` is stored from z^j on.
+    column j of ``h`` is stored from z^j on; ``f1`` holds the
+    coefficients of f(z,1).
     """
     n = len(h)
     h.append([])
@@ -108,9 +158,8 @@ def _omega_chain_row(w: list, f1: list, h: list) -> list:
     for j in range(n, -1, -1):
         x = w[j] if j < len(w) else 0
         if j < n:
-            col = h[j + 1]   # rows j+1..n of H_{j+1}
-            top = len(col) - 1
-            x += sum(f1[i][0] * col[top - i] for i in range(top + 1))
+            # rows j+1..n of H_{j+1} against f1's coefficients 0..n-j-1
+            x += sum(map(mul, f1, reversed(h[j + 1])))
         h[j].append(x)
         out[j] = x
     return out

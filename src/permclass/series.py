@@ -15,6 +15,7 @@ Three invariants hold for every series built here:
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Sequence, Union
 
 from . import _kernels
@@ -185,6 +186,54 @@ def tpoly_sum(*polys: Sequence[Coeff]) -> list:
     for p in polys:
         for j, x in enumerate(p):
             out[j] += x
+    return _tpoly_trim(out)
+
+
+def tpoly_interpolate(values: Sequence[int]) -> list:
+    """The trimmed coefficient list of the integer polynomial p of
+    degree below d+1 = len(values) with p(x) = values[x], x = 0..d.
+
+    Newton's forward formula p(t) = sum_k Delta^k p(0) C(t, k), k = 0..d,
+    is exact for deg p <= d.  The coefficients c_k = Delta^k p(0) / k!
+    are integers when p has integer coefficients a_m: by Stirling,
+    t^m = sum_k S(m, k) t(t-1)...(t-k+1) = sum_k S(m, k) k! C(t, k), so
+    p(t) = sum_k (k! sum_m a_m S(m, k)) C(t, k), and as the C(t, k) are
+    a basis, Delta^k p(0) = k! sum_m a_m S(m, k).  So each division is
+    exact, and a nonzero remainder means the values are not those of
+    an integer polynomial of degree <= d: that raises ArithmeticError.
+    The c_k are the coefficients in the falling-factorial (Newton)
+    basis, p = c_0 + t (c_1 + (t-1) (c_2 + ... + (t-d+1) c_d)), which
+    Horner expands from the inside out.  Both steps cost O(d^2).
+
+    >>> tpoly_interpolate([1, 3, 7, 13])       # 1 + t + t^2
+    [1, 1, 1]
+
+    and t(t-1)/2, whose Delta^2 p(0) is 1, is refused:
+
+    >>> tpoly_interpolate([0, 0, 1])  # doctest: +ELLIPSIS
+    Traceback (most recent call last):
+    ...
+    ArithmeticError: values are not those of an integer polynomial: ...
+    """
+    cur = list(values)
+    newton = cur[:1]
+    for _ in range(1, len(cur)):
+        cur = list(map(sub, cur[1:], cur))   # the next forward differences
+        newton.append(cur[0])
+    fact = 1
+    for k in range(2, len(newton)):
+        fact *= k
+        q, r = divmod(newton[k], fact)
+        if r:
+            raise ArithmeticError(
+                "values are not those of an integer polynomial: "
+                "Delta^%d is not divisible by %d!" % (k, k))
+        newton[k] = q
+    out = newton[-1:] or [0]
+    for k in range(len(newton) - 2, -1, -1):
+        # out = out * (t - k) + c_k
+        out = [newton[k] - k * out[0],
+               *map(sub, out, map(k.__mul__, out[1:])), out[-1]]
     return _tpoly_trim(out)
 
 

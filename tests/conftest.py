@@ -19,6 +19,13 @@ def state_a60():
 
 
 @pytest.fixture(scope="session")
+def state_a100():
+    """Class-A state at order 100: its rows reach t-degrees, and so
+    interpolations through numbers of points, that order 60 does not."""
+    return class_a.iterate(100)
+
+
+@pytest.fixture(scope="session")
 def state_b60():
     """Class-B functional-equation state at order 60."""
     return class_b.iterate(60)

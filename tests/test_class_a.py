@@ -1,7 +1,8 @@
 import pytest
 
-from permclass import class_a, oracle, perms
-from permclass.series import BivariateSeries, ConsistencyError, check_counting
+from permclass import algebraic, class_a, fixtures, oracle, perms
+from permclass.series import (BivariateSeries, ConsistencyError,
+                              UnivariateSeries, check_counting)
 
 from conftest import golden_text
 
@@ -25,6 +26,26 @@ def test_equation_residuals(state_a60):
     res2, res3 = class_a.equation_residuals(state_a60)
     assert res2 > state_a60.order
     assert res3 > state_a60.order
+
+
+def test_eq5_annihilates_counts_to_100(state_a100):
+    """The degree-3 polynomial of the paper vanishes at f(z,1) through
+    z^100, far past the order-40 goldens."""
+    residual = algebraic.verify_annihilation(
+        fixtures.eq5_min_poly(),
+        {"z": UnivariateSeries.z(100), "y": state_a100.f.subst_t(1)}, 100)
+    assert residual > 100
+
+
+def test_eq6_annihilates_fskew_at_f1_to_100(state_a100):
+    """eq6 vanishes at fskew(z, f(z,1)) through z^100, a value that
+    depends on every t-coefficient of fskew's rows, not only on their
+    sums."""
+    residual = algebraic.verify_annihilation(
+        fixtures.eq6_min_poly(),
+        {"z": UnivariateSeries.z(100), "y": class_a.fskew_at_f1(state_a100)},
+        100)
+    assert residual > 100
 
 
 def test_fskew_counts_skew_indecomposables():

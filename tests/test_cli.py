@@ -439,7 +439,15 @@ def test_kernel_check_fails_on_wrong_class_b_row(capsys, monkeypatch):
     monkeypatch.setattr(class_b, "iterate", corrupted)
     code, out, _ = run_cli(capsys, "kernel-check", "--order", "20")
     assert code == cli.EXIT_VERIFY_FAILED
-    assert out.splitlines()[-1] == "kernel check: FAIL"
+    lines = out.splitlines()
+    assert lines[-1] == "kernel check: FAIL"
+    # the row enters y0 = f(z,t1) and the y1..y3 series from z^12 on;
+    # P's residual, formed from K's and R's values, fails with R's
+    orders = {line.split(" residual order: ")[0]: int(line.split(": ")[1])
+              for line in lines if " residual order: " in line}
+    assert orders["m1(z, t1)"] == orders["K(z, t1)"] == 21
+    assert 12 <= orders["R"] <= 20
+    assert 12 <= orders["P"] <= 20
 
 
 @pytest.mark.parametrize("argv", [
@@ -472,6 +480,21 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
                            "--method", "functional_equation")
     assert code == cli.EXIT_INCONSISTENT
     assert err == "error: non-integer coefficient at z^3\n"
+
+
+def test_inexact_interpolation_exit_code(capsys, monkeypatch):
+    """With every row's value at t = 2 off by one, the product values
+    at t = 2 are off too, and the interpolation's division by 2! leaves
+    a remainder: exit 6 with one error line."""
+    value = class_a._value
+    monkeypatch.setattr(class_a, "_value",
+                        lambda p, x: value(p, x) + (x == 2))
+    code, out, err = run_cli(capsys, "count", "--class", "class_a", "--n",
+                             "10", "--method", "functional_equation")
+    assert code == cli.EXIT_INCONSISTENT
+    assert out == ""
+    assert err.startswith("error: values are not those of an integer "
+                          "polynomial: Delta^") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("error", [

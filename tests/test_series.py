@@ -1,11 +1,13 @@
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 from permclass.series import (BivariateSeries, OnlineQuotient, SeriesError,
-                              UnivariateSeries, row_product)
+                              UnivariateSeries, row_product,
+                              tpoly_interpolate)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
                   max_size=7)
@@ -219,3 +221,34 @@ def test_columns_round_trip(rows):
     cols = f.columns()
     assert all(col.order == f.order for col in cols)
     assert BivariateSeries.from_columns(cols) == f
+
+
+big_ints = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
+
+
+@given(st.lists(big_ints, max_size=41), st.integers(min_value=0,
+                                                    max_value=3))
+@example(coeffs=[], extra=0)          # the zero polynomial, one point
+@example(coeffs=[0, 0, 0], extra=0)   # the zero polynomial, three points
+@example(coeffs=[-7], extra=0)        # degree 0, one point
+def test_tpoly_interpolate_recovers_coefficients(coeffs, extra):
+    """Values at 0..d of an integer polynomial of degree <= d, computed
+    here term by term, interpolate back to its trimmed coefficients."""
+    d = max(len(coeffs) - 1, 0) + extra
+    values = [sum(c * x ** k for k, c in enumerate(coeffs))
+              for x in range(d + 1)]
+    want = list(coeffs) or [0]
+    while len(want) > 1 and want[-1] == 0:
+        want.pop()
+    assert tpoly_interpolate(values) == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("extra", [0, 2])
+def test_tpoly_interpolate_rejects_non_integer_polynomials(k, extra):
+    """C(t, k), integer-valued but with non-integer coefficients, at
+    0..k+extra: Delta^k p(0) = 1 is not divisible by k!.  k = 2 gives
+    [0, 0, 1], t(t-1)/2."""
+    values = [math.comb(x, k) for x in range(k + extra + 1)]
+    with pytest.raises(ArithmeticError):
+        tpoly_interpolate(values)
