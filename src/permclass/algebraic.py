@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import class_b
 from .polynomials import MultivariatePolynomial, newton_series_root, resultant
-from .series import UnivariateSeries
+from .series import UnivariateSeries, tpoly_value
 
 GUESS_MARGIN_THRESHOLD = 10
 GROWTH_TOLERANCE = 0.25
@@ -500,14 +500,6 @@ def _positive_roots(coeffs: list[int]) -> list[float]:
     return [a / one for a in _roots_between(scaled, 0, bound)]
 
 
-def _horner(coeffs: list, x):
-    """The polynomial at x."""
-    acc = 0
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 def _deriv(coeffs: list) -> list:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
@@ -566,7 +558,7 @@ def _roots_between(coeffs: list[int], lo: int, hi: int) -> list[int]:
     for b in _roots_between(_deriv(coeffs), lo, hi):
         breaks.update((b, b + 1))
     breaks = sorted(breaks)
-    values = [_horner(coeffs, x) for x in breaks]
+    values = [tpoly_value(coeffs, x) for x in breaks]
     roots = []
     for a, b, fa, fb in zip(breaks, breaks[1:], values, values[1:]):
         if fa == 0:
@@ -574,7 +566,7 @@ def _roots_between(coeffs: list[int], lo: int, hi: int) -> list[int]:
         elif fb and (fa > 0) != (fb > 0):
             while b - a > 1:
                 mid = (a + b) // 2
-                fm = _horner(coeffs, mid)
+                fm = tpoly_value(coeffs, mid)
                 if fm == 0:
                     a = mid
                     break

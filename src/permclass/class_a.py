@@ -45,7 +45,8 @@ from dataclasses import dataclass
 from operator import mul
 
 from .series import (BivariateSeries, OnlineQuotient, UnivariateSeries,
-                     check_counting, tpoly_interpolate, tpoly_sum)
+                     check_counting, tpoly_interpolate, tpoly_sum,
+                     tpoly_value)
 
 
 @dataclass(frozen=True)
@@ -109,8 +110,8 @@ def iterate(n_max: int) -> ClassAState:
         g_sum = tpoly_sum(g_sum, _omega_chain_row(row, f1, h))
         w.append(tpoly_sum([f1[s]], g_sum))
         for x, (fz_x, w_x) in enumerate(zip(fz_at, w_at)):
-            fz_x.append(_value(fz[-1], x))
-            w_x.append(_value(w[-1], x))
+            fz_x.append(tpoly_value(fz[-1], x))
+            w_x.append(tpoly_value(w[-1], x))
     state = ClassAState(order=n_max, f=BivariateSeries(f, n_max),
                         fskew=BivariateSeries(fskew, n_max))
     check_counting(state.f, state.fskew)
@@ -129,19 +130,11 @@ def _product_row(fz: list, w: list, fz_at: list, w_at: list) -> list:
     n = len(fz) - 1
     points = max(len(fz[i]) + len(w[n - i]) for i in range(n + 1)) - 1
     for x in range(len(fz_at), points):
-        fz_at.append([_value(p, x) for p in fz])
-        w_at.append([_value(p, x) for p in w])
+        fz_at.append([tpoly_value(p, x) for p in fz])
+        w_at.append([tpoly_value(p, x) for p in w])
     return tpoly_interpolate(
         [sum(map(mul, a, reversed(b[:n + 1])))
          for a, b in zip(fz_at[:points], w_at)])
-
-
-def _value(p: list, x: int) -> int:
-    """The polynomial p in t at t = x, by Horner."""
-    acc = 0
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _omega_chain_row(w: list, f1: list, h: list) -> list:
@@ -173,19 +166,6 @@ def counts(state: ClassAState) -> list[int]:
     """
     f1 = state.f.subst_t(1)
     return [int(x) for x in f1.c]
-
-
-def equation_residuals(state: ClassAState) -> tuple[int, int]:
-    """z-order of the first violated coefficient of each defining
-    equation (order+1 for both means the state satisfies them through
-    the truncation)."""
-    f, fskew = state.f, state.fskew
-    f1 = f.subst_t(1)
-    rhs2 = ((f - 1) * f1).shift(1) + omega_apply(fskew, f, f1)
-    inv_zt = BivariateSeries.geometric_tz(state.order)
-    inv_z = UnivariateSeries.geometric(1, state.order)
-    rhs3 = inv_zt + (fskew * inv_zt) * inv_z
-    return (fskew - rhs2).valuation(), (f - rhs3).valuation()
 
 
 def fskew_at_f1(state: ClassAState) -> UnivariateSeries:

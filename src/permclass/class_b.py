@@ -3,9 +3,9 @@
 Permutations are built by adding a new bottom slice below an avoider,
 and the recursion tracks the catalytic variable t marking the usable
 gaps of the trailing increasing run (the run minus its minimum entry;
-see perms.marked_trailing_run).  With f(z,t) the class series and
-s(z,t) the single-slice series, the three ways a new slice can attach
-give
+see ``marked_trailing_run`` in tests/reference.py).  With f(z,t) the
+class series and s(z,t) the single-slice series, the three ways a new
+slice can attach give
 
     f = 1 + Phi[f] + Psi[Theta[f]] + Xi[Lambda[f]]
 
@@ -204,17 +204,6 @@ def counts(state: ClassBState) -> list[int]:
     [1, 1, 2, 6, 22, 89, 381]
     """
     return [int(x) for x in state.f.subst_t(1).c]
-
-
-def equation_residuals(state: ClassBState) -> int:
-    """z-order of the first coefficient at which f differs from
-    1 + Phi[f] + Psi[Theta[f]] + Xi[Lambda[f]], built from the
-    whole-series operators (order+1 means the state satisfies the
-    equation through the truncation)."""
-    f = state.f
-    rhs = 1 + phi_apply(f, s_series(state.order)) \
-        + psi_apply(theta_apply(f)) + xi_apply(lambda_apply(f))
-    return (f - rhs).valuation()
 
 
 def auxiliary_series(state: ClassBState

@@ -1,5 +1,6 @@
-"""Brute-force ground truth: enumerate all avoiders of a basis up to a
-length bound and tabulate statistic distributions.
+"""Ground truth independent of the functional equations: the number of
+avoiders of a basis of each length up to a bound, and their
+distribution by a statistic, from the class's generating tree.
 
 Avoiders are generated by appending a new rightmost value to an
 avoider (the other entries relabelled); the classes are closed under
@@ -27,8 +28,8 @@ import os
 from dataclasses import dataclass, field
 from typing import Callable
 
-from . import _kernels, perms
-from .perms import Basis, Perm, CLASS_A_BASIS
+from . import _kernels
+from .perms import Basis, CLASS_A_BASIS
 
 # In children formed.  A walk that spends it all takes 0.7-2.9 s on 2
 # vCPU with Python 3.11.7 (class A counts reach length 16, B's 42).
@@ -51,24 +52,6 @@ class CountReport:
     counts: list[int]
     distributions: dict[str, list[list[int]]] = field(default_factory=dict)
 
-    def serialize_counts(self) -> str:
-        """Golden-file format: one line per length, `n <tab> count`."""
-        return "".join("%d\t%d\n" % (n, c) for n, c in enumerate(self.counts))
-
-
-def parse_counts(text: str) -> list[int]:
-    """Inverse of ``CountReport.serialize_counts``; rows must run 0, 1, ..."""
-    out = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line:
-            n, c = line.split("\t")
-            if int(n) != len(out):
-                raise ValueError("counts row %s out of order: expected %d"
-                                 % (n, len(out)))
-            out.append(int(c))
-    return out
-
 
 def default_budget() -> int:
     value = os.environ.get(BUDGET_ENV_VAR)
@@ -86,8 +69,9 @@ def default_budget() -> int:
 # its free slots, its statistic s and the rank of v.  Every step
 # depends on v only through v == 1 and v > last, which the ranks keep:
 # slot 1 is always free, and a free v exceeds last exactly when its
-# rank does.  The function of the same name in ``perms`` evaluates the
-# statistic on a permutation; the tests check the rules against it.
+# rank does.  The function of the same name in tests/reference.py
+# evaluates the statistic on a permutation; the tests check the rules
+# against it.
 # The empty permutation's last entry is taken as 1, so it has no ascent
 # and its one child, 1, extends its decreasing run.  Each step is
 # constant on each of the ranks {1}, {2..last} and {last+1..k}, which
@@ -147,16 +131,14 @@ class _Budget:
 
 
 def _walk(basis: Basis, n_max: int, node_budget: int | None,
-          step: Callable[[int, int, int, int], int] | None = None,
-          first: int = 1) -> tuple[list[int], list[list[int]]]:
+          step: Callable[[int, int, int, int], int] | None = None
+          ) -> tuple[list[int], list[list[int]]]:
     """Walk the generating tree of the avoiders of length <= n_max one
     length at a time.
 
     Returns (counts, rows): counts[n] avoiders of length n and, with a
     ``step`` (a rule of STATISTICS), rows[n][k] of them with statistic
-    value k (rows[n] has n + 2 entries).  With ``first`` = 2 only values
-    >= 2 are appended after the first entry, so every avoider starts
-    with 1.
+    value k (rows[n] has n + 2 entries).
 
     A length is a dict from a key (k, label, last, s) to the number of
     avoiders with that key: k free slots, the label of
@@ -171,10 +153,9 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     step is constant.
 
     Before a length n is generated the budget is spent by the children
-    it forms, k - lo + 1 for every key of length n - 1 (lo = ``first``,
-    or 1 for n = 1), so when it runs out every shorter length is
-    complete.  Memory grows with the distinct keys of one length, not
-    with the counts.
+    it forms, k for every key of length n - 1, so when it runs out every
+    shorter length is complete.  Memory grows with the distinct keys of
+    one length, not with the counts.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -187,16 +168,14 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     rows[0][0] = 1
     level = {(1, root, 1, 0): 1}    # the empty avoider, last rank 1
     for n in range(1, n_max + 1):   # the length being generated
-        lo = first if n >= 2 else 1
-        budget.spend(sum(key[0] - lo + 1 for key in level), n)
+        budget.spend(sum(key[0] for key in level), n)
         row = rows[n]
         if n == n_max:
             for (k, _label, last, s), c in level.items():
-                counts[n] += c * (k - lo + 1)
+                counts[n] += c * k
                 if step is None:
                     continue
-                if lo == 1:
-                    row[step(n - 1, last, s, 1)] += c
+                row[step(n - 1, last, s, 1)] += c
                 if last > 1:
                     row[step(n - 1, last, s, 2)] += c * (last - 1)
                 if k > last:
@@ -205,8 +184,8 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
         grow = n < n_max - 1        # whether the children are expanded
         children: dict[tuple, int] = {}
         for (k, label, last, s), c in level.items():
-            counts[n] += c * (k - lo + 1)
-            for a in range(lo, k + 1):
+            counts[n] += c * k
+            for a in range(1, k + 1):
                 t = step(n - 1, last, s, a) if step is not None else 0
                 row[t] += c
                 label_a, last_a = child(label, a)
@@ -239,23 +218,3 @@ def statistic_distribution(b: Basis, n_max: int, stat: str,
     if stat == "gap_count":
         rows[0][0] = 0  # gap count is undefined on the empty permutation
     return CountReport(basis=b, counts=counts, distributions={stat: rows})
-
-
-def single_slice_distribution(b: Basis, n_max: int,
-                              node_budget: int | None = None) -> CountReport:
-    """Avoiders that start with their smallest entry, tabulated by the
-    marked trailing run (the whole trailing run except the minimum)."""
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
-    counts, rows = _walk(b, n_max, node_budget,
-                         STATISTICS["marked_trailing_run"], first=2)
-    counts[0] = 0
-    matrix = [[0]] + [row[:n + 1] for n, row in enumerate(rows) if n]
-    return CountReport(basis=b, counts=counts,
-                       distributions={"marked_trailing_run": matrix})
-
-
-def filter_all_avoiders(b: Basis, n: int) -> list[Perm]:
-    """Independent cross-check: filter all n! permutations with the
-    generic containment test (no pruning, no incremental check)."""
-    return [p for p in perms.all_perms(n) if perms.avoids_basis(p, b)]

@@ -1,8 +1,11 @@
-"""Permutations in one-line notation, pattern containment, and the
-statistics used by the layer/slice decompositions.
+"""Permutations in one-line notation, pattern containment, and the two
+bases.
 
 A permutation of length n is a bijection on {1..n}, stored as the tuple
-(p(1), ..., p(n)).  The empty permutation is a first-class value.
+(p(1), ..., p(n)).  The empty permutation is a first-class value.  The
+oracle builds no permutation; the statistics and the skew decomposition
+on explicit permutations, against which it is checked, are the tests'
+reference (tests/reference.py).
 """
 from __future__ import annotations
 
@@ -44,10 +47,11 @@ class Perm:
         return iter(self.entries)
 
     def __repr__(self) -> str:
-        return "Perm(%r)" % (format_perm(self),)
+        return "Perm(%r)" % (str(self),)
 
     def __str__(self) -> str:
-        return format_perm(self)
+        """The digit form for n <= 9, else comma-separated."""
+        return ("" if len(self) <= 9 else ",").join(map(str, self.entries))
 
 
 EMPTY = Perm(())
@@ -68,24 +72,6 @@ def parse_perm(text: str) -> Perm:
     if "," in text:
         return Perm(int(part) for part in text.split(","))
     return Perm(int(ch) for ch in text)
-
-
-def format_perm(p: Perm) -> str:
-    if len(p) <= 9:
-        return "".join(str(v) for v in p)
-    return ",".join(str(v) for v in p)
-
-
-def standardize(values: Sequence[int]) -> Perm:
-    """The permutation order-isomorphic to an arbitrary sequence of
-    distinct integers.
-
-    >>> standardize((6, 4, 7))
-    Perm('213')
-    """
-    order = sorted(values)
-    rank = {v: i + 1 for i, v in enumerate(order)}
-    return Perm(rank[v] for v in values)
 
 
 def contains(host: Perm, pattern: Perm) -> bool:
@@ -192,129 +178,3 @@ class Basis:
 
 CLASS_A_BASIS = Basis([parse_perm("2413"), parse_perm("3412")])
 CLASS_B_BASIS = Basis([parse_perm("1432"), parse_perm("2143")])
-
-
-def avoids_basis(p: Perm, b: Basis) -> bool:
-    """True iff ``p`` contains none of the basis patterns."""
-    return not any(contains(p, sigma) for sigma in b.patterns)
-
-
-def skew_sum(p: Perm, q: Perm) -> Perm:
-    """Stack ``q`` below and to the right of ``p``.
-
-    >>> skew_sum(parse_perm("1"), parse_perm("1"))
-    Perm('21')
-    """
-    m = len(q)
-    return Perm(tuple(v + m for v in p) + q.entries)
-
-
-def skew_components(p: Perm) -> list[Perm]:
-    """The unique maximal decomposition p = s1 (-) s2 (-) ... with every
-    part skew indecomposable.  Returns [p] iff p is skew indecomposable.
-
-    >>> skew_components(parse_perm("321"))
-    [Perm('1'), Perm('1'), Perm('1')]
-    >>> skew_components(parse_perm("2413"))
-    [Perm('2413')]
-    """
-    n = len(p)
-    if n == 0:
-        return []
-    parts = []
-    start = 0
-    min_seen = n + 1
-    for i, v in enumerate(p):
-        min_seen = min(min_seen, v)
-        # the prefix through i is a skew block iff it occupies exactly the
-        # top values n-start-... : equivalently its min exceeds everything
-        # to the right, i.e. min == n - i
-        if min_seen == n - i:
-            parts.append(standardize(p.entries[start:i + 1]))
-            start = i + 1
-            min_seen = n + 1
-    return parts
-
-
-def initial_decreasing_run(p: Perm) -> int:
-    """Length of the maximal strictly decreasing prefix of consecutive
-    entries; 0 only for the empty permutation.
-
-    >>> initial_decreasing_run(parse_perm("64357218"))
-    3
-    """
-    n = len(p)
-    if n == 0:
-        return 0
-    r = 1
-    while r < n and p[r] < p[r - 1]:
-        r += 1
-    return r
-
-
-def trailing_increasing_run(p: Perm) -> int:
-    """Length of the maximal increasing suffix of consecutive entries;
-    0 only for the empty permutation.
-
-    >>> trailing_increasing_run(parse_perm("14235"))
-    3
-    """
-    n = len(p)
-    if n == 0:
-        return 0
-    r = 1
-    while r < n and p[n - r - 1] < p[n - r]:
-        r += 1
-    return r
-
-
-def gap_count(p: Perm) -> int:
-    """One more than the trailing increasing run; every nonempty
-    permutation has at least two gaps.
-
-    >>> gap_count(parse_perm("14235"))
-    4
-    """
-    if len(p) == 0:
-        raise ValueError("gap count is undefined for the empty permutation")
-    return trailing_increasing_run(p) + 1
-
-
-def marked_trailing_run(p: Perm) -> int:
-    """The trailing increasing run not counting the minimum entry.
-
-    This is the catalytic statistic that the slice-adding recursion for
-    Av(1432,2143) tracks: inserting a new bottom slice directly to the
-    left of the current minimum merges slices rather than extending the
-    decomposition, so the gap to the left of the minimum is never usable
-    and the minimum is never a marked entry.
-
-    >>> [marked_trailing_run(parse_perm(s)) for s in ("12", "21", "213")]
-    [1, 0, 1]
-    """
-    r = trailing_increasing_run(p)
-    n = len(p)
-    if n and p[n - r] == 1:
-        return r - 1
-    return r
-
-
-def left_to_right_minima(p: Perm) -> list[int]:
-    """Positions (1-based) of the left-to-right minima."""
-    out = []
-    cur = len(p) + 1
-    for i, v in enumerate(p):
-        if v < cur:
-            cur = v
-            out.append(i + 1)
-    return out
-
-
-def slice_count(p: Perm) -> int:
-    return len(left_to_right_minima(p))
-
-
-def all_perms(n: int) -> Iterator[Perm]:
-    """All permutations of length n."""
-    for entries in itertools.permutations(range(1, n + 1)):
-        yield Perm(entries)

@@ -189,6 +189,15 @@ def tpoly_sum(*polys: Sequence[Coeff]) -> list:
     return _tpoly_trim(out)
 
 
+def tpoly_value(p: Sequence[Coeff], x: Coeff) -> Coeff:
+    """The polynomial p in t, given as its coefficient list, at t = x,
+    by Horner."""
+    acc = 0
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
 def tpoly_interpolate(values: Sequence[int]) -> list:
     """The trimmed coefficient list of the integer polynomial p of
     degree below d+1 = len(values) with p(x) = values[x], x = 0..d.
@@ -310,11 +319,6 @@ class BivariateSeries(_Series):
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def t_monomial(cls, k: int, order: int) -> "BivariateSeries":
-        """The polynomial t^k viewed as a series."""
-        return cls([[0] * k + [1]], order)
-
-    @classmethod
     def geometric_tz(cls, order: int) -> "BivariateSeries":
         """1/(1 - t z) = sum t^n z^n."""
         return cls([[0] * n + [1] for n in range(order + 1)], order)
@@ -429,14 +433,6 @@ class BivariateSeries(_Series):
         return UnivariateSeries(
             [sum(j * x for j, x in enumerate(r)) for r in self.c],
             self.order)
-
-    # -- access ------------------------------------------------------
-
-    def coefficient(self, n: int, k: int) -> Coeff:
-        if n > self.order:
-            raise SeriesError("coefficient beyond truncation order")
-        row = self.c[n]
-        return row[k] if k < len(row) else 0
 
     def __repr__(self):
         return "BivariateSeries(order=%d)" % self.order

@@ -4,6 +4,8 @@ import pytest
 
 from permclass import _kernels, class_a, class_b, oracle, perms
 
+import mask_model
+
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
 BASES = {"class_a": perms.CLASS_A_BASIS, "class_b": perms.CLASS_B_BASIS}
@@ -63,3 +65,30 @@ def series_products(monkeypatch):
 
 def golden_text(name: str) -> str:
     return (GOLDEN / name).read_text()
+
+
+def golden_counts(name: str) -> list[int]:
+    """The counts of a golden `n <tab> count` file, whose rows must run
+    n = 0, 1, ..."""
+    rows = [line.split("\t") for line in golden_text(name).splitlines()]
+    assert [int(n) for n, _ in rows] == list(range(len(rows))), name
+    return [int(c) for _, c in rows]
+
+
+def coefficient(f, n: int, k: int):
+    """[z^n t^k] of a bivariate series, 0 above row n's t-degree."""
+    row = f.c[n]
+    return row[k] if k < len(row) else 0
+
+
+def single_slice_report(n_max: int) -> oracle.CountReport:
+    """The class-B avoiders of length 1..n_max that start with their
+    minimum, by marked trailing run k = 0..n (row 0 is [0]), from the
+    tests' (mask, state) walk appending values >= 2 after the first."""
+    counts, rows = mask_model.mask_walk(
+        perms.CLASS_B_BASIS, n_max, oracle.STATISTICS["marked_trailing_run"],
+        first=2)
+    counts[0] = 0
+    matrix = [[0]] + [row[:n + 1] for n, row in enumerate(rows) if n]
+    return oracle.CountReport(basis=perms.CLASS_B_BASIS, counts=counts,
+                              distributions={"marked_trailing_run": matrix})

@@ -11,6 +11,8 @@ from fractions import Fraction
 from permclass import algebraic, class_a, class_b, fixtures
 from permclass.series import UnivariateSeries
 
+from conftest import coefficient
+
 
 def test_criterion_01_class_a_counts_match_oracle_to_n11(
         state_a60, oracle_counts_11):
@@ -30,7 +32,7 @@ def test_criterion_03_bivariate_coefficients_match_oracle_to_n10(
     for n in range(11):
         row = rep_a.distributions["initial_decreasing_run"][n]
         for k in range(n + 1):
-            assert state_a60.f.coefficient(n, k) == \
+            assert coefficient(state_a60.f, n, k) == \
                 (row[k] if k < len(row) else 0)
     # for class B the tracked statistic is the trailing increasing run
     # without its minimum entry (see notes on the slice recursion)
@@ -38,7 +40,7 @@ def test_criterion_03_bivariate_coefficients_match_oracle_to_n10(
     for n in range(11):
         row = rep_b.distributions["marked_trailing_run"][n]
         for k in range(n + 1):
-            assert state_b60.f.coefficient(n, k) == \
+            assert coefficient(state_b60.f, n, k) == \
                 (row[k] if k < len(row) else 0)
 
 

@@ -1,7 +1,9 @@
 from permclass import class_b, oracle, perms
 from permclass.series import BivariateSeries, UnivariateSeries
 
-from conftest import golden_text
+import reference
+from conftest import coefficient, golden_counts, golden_text, \
+    single_slice_report
 
 
 def test_counts_small():
@@ -15,21 +17,22 @@ def test_counts_match_fe_golden_40(state_b60):
 
 
 def test_counts_match_oracle_golden(state_b60):
-    golden = oracle.parse_counts(golden_text("class_b_counts.tsv"))
+    golden = golden_counts("class_b_counts.tsv")
     assert class_b.counts(state_b60)[:len(golden)] == golden
 
 
 def test_equation_residuals(state_b60):
     """The online rows satisfy the equation as built from the
     whole-series operators, which the iteration does not call."""
-    assert class_b.equation_residuals(state_b60) > state_b60.order
+    assert reference.class_b_equation_residuals(state_b60) > \
+        state_b60.order
 
 
 def test_equation_residuals_detect_a_wrong_row(state_b60):
     f = BivariateSeries([list(r) for r in state_b60.f.c], state_b60.order)
     f.c[57][2] += 1
     broken = class_b.ClassBState(order=f.order, f=f)
-    assert class_b.equation_residuals(broken) == 57
+    assert reference.class_b_equation_residuals(broken) == 57
 
 
 def test_s_series_first_coefficients():
@@ -39,17 +42,17 @@ def test_s_series_first_coefficients():
 
 def test_s_series_matches_single_slice_oracle():
     s = class_b.s_series(9)
-    rep = oracle.single_slice_distribution(perms.CLASS_B_BASIS, 9)
+    rep = single_slice_report(9)
     for n in range(1, 10):
         row = rep.distributions["marked_trailing_run"][n]
         for k in range(n + 1):
-            assert s.coefficient(n, k) == (row[k] if k < len(row) else 0)
+            assert coefficient(s, n, k) == (row[k] if k < len(row) else 0)
 
 
 def test_theta_definition_cases():
     order = 5
     one = BivariateSeries.one(order)
-    t = BivariateSeries.t_monomial(1, order)
+    t = BivariateSeries([[0, 1]], order)
     assert class_b.theta_apply(one) == BivariateSeries.zero(order)
     assert class_b.theta_apply(t) == t
 
@@ -92,7 +95,7 @@ def test_theta_discrete_derivative_consistency(state_b60):
 
 def test_xi_lambda_minimum_order():
     order = 8
-    t = BivariateSeries.t_monomial(1, order)
+    t = BivariateSeries([[0, 1]], order)
     image = class_b.xi_apply(class_b.lambda_apply(t))
     valuation = next(n for n, row in enumerate(image.c) if any(row))
     assert valuation == 2  # z from Lambda, z from Xi
@@ -116,7 +119,7 @@ def test_auxiliary_series(state_b60):
 def test_operator_images_raise_z_order():
     order = 6
     for k in range(order):
-        w = BivariateSeries.t_monomial(k, order).shift(k)
+        w = BivariateSeries([[0] * k + [1]], order).shift(k)   # (tz)^k
         for image in (class_b.phi_apply(w, class_b.s_series(order)),
                       class_b.psi_apply(w),
                       class_b.xi_apply(w),

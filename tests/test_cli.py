@@ -486,8 +486,8 @@ def test_inexact_interpolation_exit_code(capsys, monkeypatch):
     """With every row's value at t = 2 off by one, the product values
     at t = 2 are off too, and the interpolation's division by 2! leaves
     a remainder: exit 6 with one error line."""
-    value = class_a._value
-    monkeypatch.setattr(class_a, "_value",
+    value = class_a.tpoly_value
+    monkeypatch.setattr(class_a, "tpoly_value",
                         lambda p, x: value(p, x) + (x == 2))
     code, out, err = run_cli(capsys, "count", "--class", "class_a", "--n",
                              "10", "--method", "functional_equation")

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from permclass import _kernels, perms
 
 import mask_model
+import reference
 
 perm_lists = st.permutations(range(1, 9))
 values = st.integers(min_value=1, max_value=9)
@@ -26,9 +27,9 @@ def _child(p, v):
 def test_class_a_check_matches_generic_containment(p, v):
     q, v = _child(list(p), v)
     parent = perms.Perm(tuple(p))
-    if not perms.avoids_basis(parent, perms.CLASS_A_BASIS):
+    if not reference.avoids_basis(parent, perms.CLASS_A_BASIS):
         return
-    want = perms.avoids_basis(perms.Perm(q), perms.CLASS_A_BASIS)
+    want = reference.avoids_basis(perms.Perm(q), perms.CLASS_A_BASIS)
     assert _kernels.class_a_child_ok(q, v) == want
 
 
@@ -36,9 +37,9 @@ def test_class_a_check_matches_generic_containment(p, v):
 def test_class_b_check_matches_generic_containment(p, v):
     q, v = _child(list(p), v)
     parent = perms.Perm(tuple(p))
-    if not perms.avoids_basis(parent, perms.CLASS_B_BASIS):
+    if not reference.avoids_basis(parent, perms.CLASS_B_BASIS):
         return
-    want = perms.avoids_basis(perms.Perm(q), perms.CLASS_B_BASIS)
+    want = reference.avoids_basis(perms.Perm(q), perms.CLASS_B_BASIS)
     assert _kernels.class_b_child_ok(q, v) == want
 
 
@@ -181,7 +182,7 @@ def test_child_label_from_parent_exhaustive(basis, state_of):
     masks = _masks_to_8(basis)
     for n in range(8):
         for p in itertools.permutations(range(1, n + 1)):
-            if perms.avoids_basis(perms.Perm(p), basis):
+            if reference.avoids_basis(perms.Perm(p), basis):
                 _check_child_label(list(p), lambda q: masks[tuple(q)],
                                    basis, state_of)
 

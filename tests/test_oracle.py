@@ -2,11 +2,14 @@ import itertools
 
 import pytest
 
-from permclass import class_a, class_b, cli, oracle, perms
-from permclass.perms import CLASS_A_BASIS, CLASS_B_BASIS, Basis, parse_perm
+from permclass import class_a, class_b, cli, oracle
+from permclass.perms import (CLASS_A_BASIS, CLASS_B_BASIS, Basis, Perm,
+                             parse_perm)
 
 import mask_model
-from conftest import BASES, STATISTICS, golden_text
+import reference
+from conftest import (BASES, STATISTICS, coefficient, golden_text,
+                      single_slice_report)
 
 # per class: the functional-equation counts and the fixture with its state
 FE = {"class_a": (class_a.counts, "state_a60"),
@@ -18,13 +21,18 @@ FE = {"class_a": (class_a.counts, "state_a60"),
 def test_pruned_generation_equals_full_filter(basis):
     rep = oracle.enumerate_avoiders(basis, 6)
     for n in range(7):
-        assert rep.counts[n] == len(oracle.filter_all_avoiders(basis, n))
+        assert rep.counts[n] == len(reference.filter_all_avoiders(basis, n))
 
 
-def test_counts_match_golden_files(oracle_counts_11):
+def test_counts_match_golden_files(capsys, monkeypatch, oracle_counts_11):
+    """``count --method oracle`` prints the golden `n <tab> count` lines;
+    the reports are the session fixture's, not second oracle runs."""
     for name in ("class_a", "class_b"):
-        rep = oracle_counts_11[name]
-        assert rep.serialize_counts() == golden_text(name + "_counts.tsv")
+        monkeypatch.setattr(oracle, "enumerate_avoiders",
+                            lambda *args, **kwargs: oracle_counts_11[name])
+        assert cli.main(["count", "--class", name, "--n", "11",
+                         "--method", "oracle"]) == 0
+        assert capsys.readouterr().out == golden_text(name + "_counts.tsv")
 
 
 @pytest.mark.parametrize("name, n", [("class_a", 14), ("class_b", 40)],
@@ -41,17 +49,16 @@ def test_fe_counts_match_oracle_deep(name, n, request):
 @pytest.mark.parametrize("basis", [CLASS_A_BASIS, CLASS_B_BASIS],
                          ids=["class_a", "class_b"])
 def test_walk_matches_mask_walk_to_n12(basis, stat):
-    """The label walk's counts and statistic rows, for every n_max <= 12
-    and first = 1 and 2, equal those of the tests' (mask, state) walk,
-    which gives the step values, not ranks, and tallies no length."""
+    """The label walk's counts and statistic rows, for every n_max <= 12,
+    equal those of the tests' (mask, state) walk, which gives the step
+    values, not ranks, and tallies no length."""
     step = oracle.STATISTICS[stat] if stat else None
-    for first in (1, 2):
-        want_counts, want_rows = mask_model.mask_walk(basis, 12, step, first)
-        for n_max in range(13):
-            counts, rows = oracle._walk(basis, n_max, None, step, first)
-            assert counts == want_counts[:n_max + 1], (first, n_max)
-            if step is not None:
-                assert rows == want_rows[:n_max + 1], (first, n_max)
+    want_counts, want_rows = mask_model.mask_walk(basis, 12, step)
+    for n_max in range(13):
+        counts, rows = oracle._walk(basis, n_max, None, step)
+        assert counts == want_counts[:n_max + 1], n_max
+        if step is not None:
+            assert rows == want_rows[:n_max + 1], n_max
 
 
 @pytest.mark.parametrize("name", sorted(FE))
@@ -62,7 +69,7 @@ def test_fe_rows_match_oracle_distribution_to_n12(name, request):
     stat = STATISTICS[name]
     rep = oracle.statistic_distribution(BASES[name], 12, stat)
     for n, row in enumerate(rep.distributions[stat]):
-        assert [f.coefficient(n, k) for k in range(len(row))] == row, n
+        assert [coefficient(f, n, k) for k in range(len(row))] == row, n
 
 
 def test_basis_without_scan_rejected():
@@ -76,9 +83,9 @@ def test_every_statistic_matches_filtered_avoiders(basis):
     """The distributions tallied during generation, each child's value
     updated from its parent's, equal the statistic evaluated on every
     avoider found by filtering all permutations."""
-    avoiders = [oracle.filter_all_avoiders(basis, n) for n in range(8)]
+    avoiders = [reference.filter_all_avoiders(basis, n) for n in range(8)]
     for stat in oracle.STATISTICS:
-        fn = getattr(perms, stat)   # the reference, on whole permutations
+        fn = getattr(reference, stat)   # on whole permutations
         rep = oracle.statistic_distribution(basis, 7, stat)
         for n, row in enumerate(rep.distributions[stat]):
             want = [0] * len(row)
@@ -117,7 +124,7 @@ def test_distribution_golden_files(capsys, monkeypatch,
 
 
 def test_single_slice_distribution_golden(capsys, monkeypatch):
-    rep = oracle.single_slice_distribution(CLASS_B_BASIS, 10)
+    rep = single_slice_report(10)
     assert _csv_through_cli(capsys, monkeypatch, rep, "class_b",
                             "marked_trailing_run") == \
         golden_text("class_b_single_slice_marked_trailing_run.csv")
@@ -131,28 +138,22 @@ def test_budget_exhaustion_raises():
 def _run_budgeted(name, basis, n_max, budget):
     if name == "enumerate_avoiders":
         return oracle.enumerate_avoiders(basis, n_max, node_budget=budget)
-    if name == "statistic_distribution":
-        return oracle.statistic_distribution(
-            basis, n_max, "marked_trailing_run", node_budget=budget)
-    return oracle.single_slice_distribution(basis, n_max, node_budget=budget)
+    return oracle.statistic_distribution(
+        basis, n_max, "marked_trailing_run", node_budget=budget)
 
 
-def _spends(basis, n_max, stat, first):
+def _spends(basis, n_max, stat):
     """The children the walk forms at each length n = 1..n_max, from
-    scratch: each distinct key of the avoiders of length n - 1 (those
-    starting with 1 for ``first`` = 2) forms one per free slot >= lo
-    (lo = ``first``, or 1 for n = 1).  A key is the number of free
-    slots, the label (left out at length n_max - 1) and, with a
-    statistic, the rank of the last entry among the free slots (1 for
-    the empty avoider) and the statistic's value."""
+    scratch: each distinct key of the avoiders of length n - 1 forms one
+    per free slot.  A key is the number of free slots, the label (left
+    out at length n_max - 1) and, with a statistic, the rank of the
+    last entry among the free slots (1 for the empty avoider) and the
+    statistic's value."""
     out = []
     for n in range(1, n_max + 1):
-        lo = first if n >= 2 else 1
         keys = set()
-        for p in oracle.filter_all_avoiders(basis, n - 1):
+        for p in reference.filter_all_avoiders(basis, n - 1):
             p = list(p)
-            if first == 2 and p[:1] not in ([], [1]):
-                continue
             mask, state = mask_model.fold(p, basis)
             free = [f for f in range(1, n + 1) if not mask >> f & 1]
             last = sum(f <= (p[-1] if p else 1) for f in free)
@@ -160,27 +161,25 @@ def _spends(basis, n_max, stat, first):
                       mask_model.label(mask, state, n - 1, basis)
                       if n < n_max else None,
                       last if stat else 1,
-                      getattr(perms, stat)(perms.Perm(p)) if stat else 0))
-        out.append(sum(k - lo + 1 for k, *_ in keys))
+                      getattr(reference, stat)(Perm(p)) if stat else 0))
+        out.append(sum(k for k, *_ in keys))
     return out
 
 
 def test_budget_counts_candidate_children():
     """The budget is spent on the children each length forms, one per
-    free slot >= lo of each distinct key one length shorter, also at
-    the last length, which is tallied without being built.  It is spent
-    one whole length at a time, before that length is generated, so a
+    free slot of each distinct key one length shorter, also at the last
+    length, which is tallied without being built.  It is spent one
+    whole length at a time, before that length is generated, so a
     budget that runs out names the first length it does not cover and
     every shorter length is complete."""
     for basis in (CLASS_A_BASIS, CLASS_B_BASIS):
-        for name, stat, first in (
-                ("enumerate_avoiders", None, 1),
-                ("statistic_distribution", "marked_trailing_run", 1),
-                ("single_slice_distribution", "marked_trailing_run", 2)):
+        for name, stat in (
+                ("enumerate_avoiders", None),
+                ("statistic_distribution", "marked_trailing_run")):
             counts = _run_budgeted(name, basis, 7, None).counts
             # through[L - 1]: the spend on lengths 1..L
-            through = list(itertools.accumulate(
-                _spends(basis, 7, stat, first)))
+            through = list(itertools.accumulate(_spends(basis, 7, stat)))
             exact = through[-1]
             assert _run_budgeted(name, basis, 7, exact).counts == counts
             with pytest.raises(oracle.BudgetExceededError,
@@ -202,7 +201,7 @@ def test_budget_counts_candidate_children():
     # keyed by their free slots alone, 2, 3, 4 or 6 of them
     rep = oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=93)
     assert rep.counts == [1, 1, 2, 6, 22, 90, 395]
-    assert sum(_spends(CLASS_A_BASIS, 6, None, 1)) == 93
+    assert sum(_spends(CLASS_A_BASIS, 6, None)) == 93
     with pytest.raises(oracle.BudgetExceededError):
         oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=92)
 
@@ -226,16 +225,6 @@ def test_budget_env_override(monkeypatch):
     assert oracle.default_budget() == 50
     with pytest.raises(oracle.BudgetExceededError):
         oracle.enumerate_avoiders(CLASS_B_BASIS, 9)
-
-
-def test_counts_serialization_round_trip():
-    rep = oracle.enumerate_avoiders(CLASS_B_BASIS, 5)
-    assert oracle.parse_counts(rep.serialize_counts()) == rep.counts
-
-
-def test_counts_out_of_order_rejected():
-    with pytest.raises(ValueError, match="out of order"):
-        oracle.parse_counts("0\t1\n2\t2\n1\t1\n")
 
 
 def test_unknown_statistic_rejected():
