@@ -466,7 +466,7 @@ def reported_growth(candidates: list[float], counts: list[int]) -> float:
 
 
 def _z_coeffs(p: MultivariatePolynomial) -> list[int]:
-    """Coefficient list of a polynomial in one variable."""
+    """Coefficient list of a polynomial in one variable, no trailing zeros."""
     if len(p.vars) != 1:
         raise ValueError("expected a polynomial in one variable, got %s"
                          % ", ".join(p.vars))
@@ -486,8 +486,6 @@ def _positive_roots(coeffs: list[int]) -> list[float]:
     in ints by _roots_between.  A root that is a grid point, such as
     5/32, is found exactly; one within one grid step of an extremum of
     p, or of one of its derivatives, can be missed."""
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
     while coeffs and coeffs[0] == 0:
         coeffs.pop(0)  # drop root at z = 0; not positive
     if len(coeffs) <= 1:
@@ -504,40 +502,41 @@ def _deriv(coeffs: list) -> list:
     return [i * c for i, c in enumerate(coeffs)][1:]
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]
-                 ) -> tuple[list[Fraction], list[Fraction]]:
-    """Quotient and remainder of a by b, the remainder without trailing
-    zeros."""
-    q = [Fraction(0)] * (len(a) - len(b) + 1)
-    a = a[:]
-    while len(a) >= len(b) and any(a):
-        while a and a[-1] == 0:
-            a.pop()
-        if len(a) < len(b):
-            break
-        f = a[-1] / b[-1]
-        shift = len(a) - len(b)
-        q[shift] = f
-        for i, c in enumerate(b):
-            a[shift + i] -= f * c
+def _primitive(coeffs: list[int]) -> list[int]:
+    """coeffs divided by their content, the gcd of the coefficients."""
+    g = math.gcd(*coeffs)
+    return [c // g for c in coeffs] if g else coeffs
+
+
+def _pseudo_divmod(a: list[int], b: list[int]
+                   ) -> tuple[list[int], list[int]]:
+    """Pseudo-division in Z[x]: (q, r) with lc(b)^k a = q b + r for
+    k = deg a - deg b + 1, deg r < deg b and r without trailing zeros."""
+    lead, db = b[-1], len(b) - 1
+    a, q = a[:], []
+    while len(a) > db:
+        top = a.pop()
+        a = [lead * x for x in a]
+        q = [lead * x for x in q] + [top]
+        shift = len(a) - db
+        for i, x in enumerate(b[:-1]):
+            a[shift + i] -= top * x
+    while a and not a[-1]:
         a.pop()
-    while a and a[-1] == 0:
-        a.pop()
-    return q, a
+    return q[::-1], a
 
 
 def _squarefree(coeffs: list[int]) -> list[int]:
-    """coeffs / gcd(coeffs, coeffs'), scaled to integers: the same
-    roots, each simple."""
-    p = [Fraction(c) for c in coeffs]
-    g, r = p, _deriv(p)
+    """The primitive part of coeffs / gcd(coeffs, coeffs'): the same
+    roots, each simple.  The gcd is the last term of the primitive
+    remainder sequence over Z, each term the primitive part of the
+    pseudo-remainder of the two before it (von zur Gathen and Gerhard,
+    *Modern Computer Algebra*, ch. 6); the remainder of coeffs by it is
+    zero, so the pseudo-quotient is the quotient times a constant."""
+    g, r = coeffs, _deriv(coeffs)
     while r:
-        g, r = r, _poly_divmod(g, r)[1]
-    if len(g) <= 1:
-        return coeffs
-    q = _poly_divmod(p, g)[0]
-    den = math.lcm(*(c.denominator for c in q))
-    return [c.numerator * (den // c.denominator) for c in q]
+        g, r = r, _primitive(_pseudo_divmod(g, r)[1])
+    return _primitive(_pseudo_divmod(coeffs, g)[0])
 
 
 def _roots_between(coeffs: list[int], lo: int, hi: int) -> list[int]:

@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials over the integers, plus the two
-algebraic primitives built on them: Sylvester resultants (fraction-free)
-and Newton iteration for a power-series root.
+algebraic primitives built on them: resultants of bivariate polynomials
+(integer determinants at points, then interpolation) and Newton
+iteration for a power-series root.
 
 A polynomial carries its own ordered tuple of variable names; terms map
 exponent tuples to nonzero integer coefficients.  The canonical term
@@ -15,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping
 
-from .series import UnivariateSeries
+from .series import UnivariateSeries, tpoly_interpolate, tpoly_value
 
 
 class NotDivisibleError(ArithmeticError):
@@ -376,66 +377,65 @@ def _horner(terms: list, values: list, depth: int):
     return _power(x, keys[-1]) * acc if keys[-1] else acc
 
 
-def sylvester_matrix(p: MultivariatePolynomial, q: MultivariatePolynomial,
-                     name: str) -> list[list[MultivariatePolynomial]]:
-    """Sylvester matrix of p, q with respect to one variable; entries
-    are polynomials in the remaining variables."""
-    m, n = p.degree(name), q.degree(name)
-    if m <= 0 and n <= 0:
-        raise ValueError("resultant needs positive degree in %r" % name)
-    pc = [p.coefficient_in(name, m - i) for i in range(m + 1)]
-    qc = [q.coefficient_in(name, n - i) for i in range(n + 1)]
-    size = m + n
-    zero = MultivariatePolynomial.zero(pc[0].vars)
-    rows = []
-    for i in range(n):
-        rows.append([zero] * i + pc + [zero] * (n - 1 - i))
-    for i in range(m):
-        rows.append([zero] * i + qc + [zero] * (m - 1 - i))
-    assert all(len(r) == size for r in rows)
-    return rows
-
-
-def _bareiss_det(m: list[list[MultivariatePolynomial]]) -> MultivariatePolynomial:
-    """Fraction-free determinant; all divisions are exact in Z[vars]."""
-    n = len(m)
-    if n == 0:
-        raise ValueError("empty matrix")
-    vars = m[0][0].vars
-    one = MultivariatePolynomial.constant(vars, 1)
-    m = [row[:] for row in m]
-    sign = 1
-    prev = one
-    for r in range(n - 1):
-        if m[r][r].is_zero():
-            for i in range(r + 1, n):
-                if not m[i][r].is_zero():
-                    m[r], m[i] = m[i], m[r]
-                    sign = -sign
-                    break
-            else:
-                return MultivariatePolynomial.zero(vars)
-        piv = m[r][r]
-        for i in range(r + 1, n):
-            for j in range(r + 1, n):
-                num = piv * m[i][j] - m[i][r] * m[r][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][r] = MultivariatePolynomial.zero(vars)
-        prev = piv
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
-
-
 def resultant(p: MultivariatePolynomial, q: MultivariatePolynomial,
               name: str) -> MultivariatePolynomial:
-    """Resultant with respect to ``name``: the Sylvester determinant, a
-    polynomial in the remaining variables.
+    """Resultant with respect to ``name`` of two polynomials in the same
+    two variables: their Sylvester determinant, a polynomial in the
+    other variable x.  With m and n the degrees of p and q in ``name``,
+    each term of the determinant takes n entries from p and m from q, so
+    its x-degree is at most n deg_x p + m deg_x q.  It is taken in
+    integers at x = 0, 1, ... up to that bound, with the formal degrees
+    m and n kept where a leading coefficient vanishes, and interpolated
+    (von zur Gathen and Gerhard, *Modern Computer Algebra*, ch. 5-6).
 
     >>> z, y = MultivariatePolynomial.variables("z", "y")
     >>> str(resultant(y ** 2 - z, y - 3, "y"))
     '-z + 9'
     """
-    return _bareiss_det(sylvester_matrix(p, q, name))
+    if p.vars != q.vars or len(p.vars) != 2 or name not in p.vars:
+        raise ValueError("resultant needs polynomials in the same two "
+                         "variables, one of them %r; got (%s) and (%s)" % (
+                             name, ", ".join(p.vars), ", ".join(q.vars)))
+    i = p.vars.index(name)
+    x = p.vars[1 - i]
+    m, n = p.degree(name), q.degree(name)
+    if min(m, n) < 0 or m + n == 0:
+        raise ValueError("resultant needs nonzero polynomials of positive "
+                         "degree in %r" % name)
+    # the coefficients in ``name``, leading first, as lists in x
+    pc, qc = ([[0] * (f.degree(x) + 1) for _ in range(f.degree(name) + 1)]
+              for f in (p, q))
+    for f, rows in ((p, pc), (q, qc)):
+        for e, c in f.terms.items():
+            rows[-1 - e[i]][e[1 - i]] = c
+    values = []
+    for v in range(n * p.degree(x) + m * q.degree(x) + 1):
+        a = [tpoly_value(c, v) for c in pc]
+        b = [tpoly_value(c, v) for c in qc]
+        values.append(_det([[0] * k + a + [0] * (n - 1 - k)
+                            for k in range(n)]
+                           + [[0] * k + b + [0] * (m - 1 - k)
+                              for k in range(m)]))
+    return MultivariatePolynomial(
+        (x,), {(k,): c for k, c in enumerate(tpoly_interpolate(values))})
+
+
+def _det(rows: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: each division by the previous pivot is exact."""
+    sign, prev = 1, 1
+    while len(rows) > 1:
+        if not rows[0][0]:
+            k = next((i for i, row in enumerate(rows) if row[0]), None)
+            if k is None:
+                return 0
+            rows[0], rows[k] = rows[k], rows[0]
+            sign = -sign
+        piv, *top = rows[0]
+        rows = [[(piv * a - row[0] * b) // prev
+                 for a, b in zip(row[1:], top)] for row in rows[1:]]
+        prev = piv
+    return sign * rows[0][0]
 
 
 def newton_series_root(p: MultivariatePolynomial, t0: Fraction,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permclass import algebraic, class_a, class_b, fixtures
-from permclass.polynomials import MultivariatePolynomial
+from permclass.polynomials import MultivariatePolynomial, NotDivisibleError
 from permclass.series import UnivariateSeries
 
 
@@ -248,9 +248,26 @@ def test_growth_exact_quartic_direct():
     ((3 * _Z - 1) ** 2 * (_Z - 2), [0.333333333333, 2.0]),
     ((5 * _Z - 2) * (_Z ** 2 - 2), [0.4, 1.414213562373]),
     ((32 * _Z - 5) ** 2, [0.15625]),
-], ids=["close_roots", "double_root_off_grid", "irrational", "grid_point"])
+    # not primitive, so the remainder sequence must remove contents
+    (6 * (3 * _Z - 1) ** 3 * (_Z - 2), [0.333333333333, 2.0]),
+], ids=["close_roots", "double_root_off_grid", "irrational", "grid_point",
+        "triple_root_not_primitive"])
 def test_growth_exact_y_free(poly, roots):
     assert algebraic.growth_exact(poly) == roots
+
+
+def test_degree8_discriminant_and_squarefree_part():
+    """The discriminant of class B's degree-8 polynomial is far from
+    squarefree: the reversed growth quartic divides it four times."""
+    disc = algebraic.discriminant_in_z(fixtures.degree8_min_poly())
+    assert disc.degree("z") == 232 and len(disc.terms) == 214
+    quartic = 4 * _Z ** 4 - 8 * _Z ** 3 + 9 * _Z ** 2 - 7 * _Z + 1
+    rest = disc
+    for _ in range(4):
+        rest = rest.exact_div(quartic)
+    with pytest.raises(NotDivisibleError):
+        rest.exact_div(quartic)
+    assert len(algebraic._squarefree(algebraic._z_coeffs(disc))) - 1 == 83
 
 
 def test_class_a_exact_growth(state_a60):

@@ -77,6 +77,45 @@ def test_resultant_known_values():
     # res_y(y^2 - z, z y - 1) = z^2 (1/z^2 - z) = 1 - z^3
     assert resultant(y ** 2 - z, z * y - 1, "y").lift(("z", "y")) == \
         1 - z ** 3
+    # degree exactly at the bound n deg_z p + m deg_z q = 2
+    assert resultant(z * y + z, z * y + 1, "y").lift(("z", "y")) == \
+        z - z ** 2
+
+
+def _random_z_poly(rng, degree):
+    (z,) = MultivariatePolynomial.variables("z")
+    return sum(rng.randint(-5, 5) * z ** k for k in range(degree)) \
+        + rng.choice([-3, -1, 1, 2]) * z ** degree
+
+
+def test_resultant_matches_product_formula():
+    """res_y(c prod (y - a_i(z)), q) = c^n prod q(z, a_i(z)), with n the
+    y-degree of q, computed by polynomial arithmetic alone.  q is dense
+    below its leading coefficient, so the resultant reaches the degree
+    bound, and that coefficient vanishes at an interpolation point,
+    where the formal degree n must be kept."""
+    rng = random.Random(19)
+    (zz,) = MultivariatePolynomial.variables("z")
+    z, y = zy()
+    for _ in range(12):
+        m, n, dq = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+        c = _random_z_poly(rng, rng.randint(0, 1))
+        roots = [_random_z_poly(rng, rng.randint(0, 2)) for _ in range(m)]
+        q_terms = {(j, k): rng.randint(-4, 4) or 1
+                   for j in range(dq + 1) for k in range(n)}
+        # q's leading coefficient 2 z^(dq-1) (z - r) vanishes at z = r
+        r = rng.randint(1, 3)
+        q_terms[(dq, n)], q_terms[(dq - 1, n)] = 2, -2 * r
+        q = MultivariatePolynomial(("z", "y"), q_terms)
+        p = c.lift(("z", "y"))
+        for a in roots:
+            p = p * (y - a.lift(("z", "y")))
+        expected = c ** n
+        for a in roots:
+            expected = expected * sum(
+                (coef * zz ** j * a ** k for (j, k), coef in q_terms.items()),
+                MultivariatePolynomial.zero(("z",)))
+        assert resultant(p, q, "y") == expected
 
 
 def test_resultant_vanishes_iff_common_root_numerically():
@@ -100,6 +139,22 @@ def test_resultant_requires_positive_degree():
     z, y = zy()
     with pytest.raises(ValueError):
         resultant(z + 1, z - 1, "y")
+
+
+@pytest.mark.parametrize("p, q", [
+    (MultivariatePolynomial.variable(("x", "z", "y"), "y"),
+     MultivariatePolynomial.variable(("x", "z", "y"), "x")),
+    (MultivariatePolynomial.variable(("y",), "y"),
+     MultivariatePolynomial.constant(("y",), 2)),
+    (MultivariatePolynomial.variable(("z", "y"), "y"),
+     MultivariatePolynomial.variable(("y", "z"), "y")),
+    (MultivariatePolynomial.variable(("z", "t"), "t"),
+     MultivariatePolynomial.variable(("z", "t"), "z")),
+], ids=["three_variables", "one_variable", "different_order", "no_y"])
+def test_resultant_requires_two_shared_variables(p, q):
+    with pytest.raises(ValueError, match="same two variables") as err:
+        resultant(p, q, "y")
+    assert "\n" not in str(err.value)
 
 
 def test_newton_sqrt_one_plus_z():
