@@ -25,19 +25,26 @@ every intermediate once.
 The one bivariate product, (f-1) times W, is formed by evaluation and
 interpolation in t (von zur Gathen and Gerhard, Modern Computer
 Algebra, ch. 10).  The rows of (f-1)/z and of W are also kept as their
-values at t = 0, 1, 2, ..., and a point is added only when a row's
-t-degree first needs it, so the points never depend on the order asked
-for (the iteration stays online in the sense of van der Hoeven, "Relax,
-but don't be too lazy", JSC 2002).  Row n of the product is one dot
-product of length n+1 at each of its at most n+2 points, brought back
-to coefficients in O(n^2) by ``series.tpoly_interpolate``; evaluating
-the new rows at every point, and every row at a new point, is O(n^2)
-too.  So order N costs about N^3/3 value products, where a coefficient
-product would cost about N^4/24.  The values are longer numbers than
-the coefficients: at a point x <= n+1, row n's value is at most x^(n+1)
-times the sum of its coefficients, about (n+1) log2(n+1) bits more.
-The Omega chain and the division by (1-z)(1-tz) stay in coefficients,
-at O(n^2) per row.
+values at the points t = -k..k, added as 0 and then in pairs -x, x only
+when a row's t-degree first needs them, so the points never depend on
+the order asked for (the iteration stays online in the sense of van
+der Hoeven, "Relax, but don't be too lazy", JSC 2002).  Row n of the
+product is one dot product of length n+1 at each of its points (n+2
+are needed, n+3 when they end a pair), brought back to coefficients in
+O(n^2) by ``series.tpoly_interpolate``.  The new row of (f-1)/z is not
+evaluated from its coefficients: at t = x the second equation is the
+recurrence f_s = fskew_s + (1+x) f_{s-1} - x f_{s-2}, so it costs one
+product by x per point, from the dot product just taken.  Only W's new
+row, and every row at a new pair of points, are evaluated from
+coefficients, by one even/odd Horner pass per pair,
+p(+-x) = E(x^2) +- x O(x^2).  Each of these steps is O(n^2) per row, so
+order N costs about N^3/3 value products, where a coefficient product
+would cost about N^4/24.  The values are longer numbers than the
+coefficients: row n's points have |x| <= (n+2)/2, so its value is at
+most ((n+2)/2)^(n+1) times the sum of its coefficients, about
+(n+1) log2((n+2)/2) bits more, and n+1 bits fewer than at points
+0..n+1.  The Omega chain and the division by (1-z)(1-tz) stay in
+coefficients, at O(n^2) per row.
 """
 from __future__ import annotations
 
@@ -46,7 +53,7 @@ from operator import mul
 
 from .series import (BivariateSeries, OnlineQuotient, UnivariateSeries,
                      check_counting, tpoly_interpolate, tpoly_sum,
-                     tpoly_value)
+                     tpoly_value_pair)
 
 
 @dataclass(frozen=True)
@@ -80,12 +87,22 @@ def omega_apply(w: BivariateSeries, f: BivariateSeries,
 def iterate(n_max: int) -> ClassAState:
     """Compute f and fskew exactly to order n_max, one row at a time.
 
-    Row s of fskew = z (f-1) W is row s-2 of ((f-1)/z) W, one row
-    product that needs rows below s of f and rows below s-1 of W; see
-    ``_product_row``.  Row m of W = f1 + G/(1-z) is row m of
-    f1 = f(z,1) plus the sum of rows 0..m of G.  Row s of f then
-    follows from row s of fskew.  Row s costs about s^2 value products
-    and O(s^2) other work.
+    Row s of fskew = z (f-1) W is row s-2 of fz W, fz = (f-1)/z, one
+    row product that needs rows below s of f and rows below s-1 of W;
+    see ``_product_row``, which also returns the row's values at the
+    points -k..k.  Row m of W = f1 + G/(1-z) is row m of f1 = f(z,1)
+    plus the sum of rows 0..m of G.  Row s of f then follows from row
+    s of fskew.
+
+    The values of fz's new row, f_s, follow from those of fskew's: at
+    t = x the second equation reads (1-z)(1-xz) f = 1 - z + fskew, so
+
+        f_s(x) = fskew_s(x) + (1+x) f_{s-1}(x) - x f_{s-2}(x),  s >= 2,
+
+    with f_0 = 1 and f_1 = t: one product by x per point.  Only W's
+    new row is evaluated at every point, by ``tpoly_value_pair`` (one
+    pass per pair +-x).  Row s costs about s^2 value products and
+    O(s^2) other work.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -98,43 +115,77 @@ def iterate(n_max: int) -> ClassAState:
     h = [[0]]           # Omega chain: h[j][m-j] = [z^m] H_j
     g_sum = [0]         # the sum of the rows of G so far
     w = [[1]]           # rows of W
-    fz_at, w_at = [], []   # per point x: fz_at[x][i] = fz_i(x), likewise W
+    fz_at, w_at = [], []   # per point x = -k..k: fz_at[x+k][i] = fz_i(x)
     quot = OnlineQuotient([1], [0, 1])   # fskew / ((1-z)(1-tz))
     quot.push(fskew[0])
     for s in range(1, n_max + 1):
-        row = _product_row(fz, w, fz_at, w_at) if s >= 2 else [0]
+        if s >= 2:
+            row, values = _product_row(fz, w, fz_at, w_at)
+        else:
+            row, values = [0], []
         fskew.append(row)
         f.append(tpoly_sum(quot.push(row), [0] * s + [1]))
         f1.append(sum(f[s]))
         fz.append(f[s])
         g_sum = tpoly_sum(g_sum, _omega_chain_row(row, f1, h))
         w.append(tpoly_sum([f1[s]], g_sum))
-        for x, (fz_x, w_x) in enumerate(zip(fz_at, w_at)):
-            fz_x.append(tpoly_value(fz[-1], x))
-            w_x.append(tpoly_value(w[-1], x))
+        if s >= 2:
+            # f_s(x) by the recurrence (f_0 = 1); W's new row by Horner
+            k = len(fz_at) // 2
+            for x, (v, fz_x) in enumerate(zip(values, fz_at, strict=True),
+                                          -k):
+                last = fz_x[-1]
+                fz_x.append(v + last + x * (last - (fz_x[-2] if s > 2 else 1)))
+            for w_x, v in zip(w_at, _values(w[-1], k), strict=True):
+                w_x.append(v)
     state = ClassAState(order=n_max, f=BivariateSeries(f, n_max),
                         fskew=BivariateSeries(fskew, n_max))
     check_counting(state.f, state.fskew)
     return state
 
 
-def _product_row(fz: list, w: list, fz_at: list, w_at: list) -> list:
-    """Row n = len(fz) - 1 of fz W, sum_i fz_i W_{n-i}, from values.
+def _product_row(fz: list, w: list, fz_at: list, w_at: list) -> tuple:
+    """Row n = len(fz) - 1 of fz W, sum_i fz_i W_{n-i}, and its values
+    at the points -k..k.
 
     Its t-degree is below max_i (len(fz_i) + len(W_{n-i})) - 1, the
-    number of points it needs; ``fz_at`` and ``w_at`` (per point so far,
-    the values of the rows of fz and of W) gain the points missing.  At
-    each point the row's value is one dot product, and
-    ``tpoly_interpolate`` turns the values back into coefficients.
+    number of points it needs; ``fz_at`` and ``w_at`` (per point -k..k,
+    the values of the rows of fz and of W) gain the points missing, 0
+    first and then pairs -x, x (see ``_add_points``).  At each point
+    the row's value is one dot product, and ``tpoly_interpolate`` turns
+    the values back into coefficients.
+
+    Row n has t-degree at most n+1, as fz_i has at most i+1 and W_m at
+    most m, so it needs at most n+2 points and k <= (n+2)/2: a value is
+    at most k^(n+1) times the sum of the row's coefficients.
     """
     n = len(fz) - 1
     points = max(len(fz[i]) + len(w[n - i]) for i in range(n + 1)) - 1
-    for x in range(len(fz_at), points):
-        fz_at.append([tpoly_value(p, x) for p in fz])
-        w_at.append([tpoly_value(p, x) for p in w])
-    return tpoly_interpolate(
-        [sum(map(mul, a, reversed(b[:n + 1])))
-         for a, b in zip(fz_at[:points], w_at)])
+    while len(fz_at) < points:
+        _add_points(fz, fz_at)
+        _add_points(w, w_at)
+    values = [sum(map(mul, a, reversed(b[:n + 1])))
+              for a, b in zip(fz_at, w_at, strict=True)]
+    return tpoly_interpolate(values, -(len(values) // 2)), values
+
+
+def _values(p: list, k: int) -> list:
+    """The values of p at t = -k..k, one ``tpoly_value_pair`` per x."""
+    pairs = [tpoly_value_pair(p, x) for x in range(1, k + 1)]
+    return [m for _, m in reversed(pairs)] + p[:1] + [v for v, _ in pairs]
+
+
+def _add_points(rows: list, at: list) -> None:
+    """Give ``at`` (per point -k..k, the values of ``rows``) its next
+    points: 0 when empty, else the pair -(k+1), k+1, both from one
+    ``tpoly_value_pair`` per row."""
+    if not at:
+        at.append([p[0] for p in rows])
+        return
+    x = len(at) // 2 + 1
+    pairs = [tpoly_value_pair(p, x) for p in rows]
+    at.insert(0, [m for _, m in pairs])
+    at.append([v for v, _ in pairs])
 
 
 def _omega_chain_row(w: list, f1: list, h: list) -> list:

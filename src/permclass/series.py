@@ -198,23 +198,47 @@ def tpoly_value(p: Sequence[Coeff], x: Coeff) -> Coeff:
     return acc
 
 
-def tpoly_interpolate(values: Sequence[int]) -> list:
-    """The trimmed coefficient list of the integer polynomial p of
-    degree below d+1 = len(values) with p(x) = values[x], x = 0..d.
+def tpoly_value_pair(p: Sequence[Coeff], x: Coeff) -> tuple:
+    """The polynomial p in t at t = x and at t = -x, for the price of
+    one Horner pass: writing p(t) = E(t^2) + t O(t^2), E and O of the
+    even and the odd coefficients, p(+-x) = E(x^2) +- x O(x^2), and E
+    and O are each half as long as p.
 
-    Newton's forward formula p(t) = sum_k Delta^k p(0) C(t, k), k = 0..d,
-    is exact for deg p <= d.  The coefficients c_k = Delta^k p(0) / k!
-    are integers when p has integer coefficients a_m: by Stirling,
-    t^m = sum_k S(m, k) t(t-1)...(t-k+1) = sum_k S(m, k) k! C(t, k), so
-    p(t) = sum_k (k! sum_m a_m S(m, k)) C(t, k), and as the C(t, k) are
-    a basis, Delta^k p(0) = k! sum_m a_m S(m, k).  So each division is
-    exact, and a nonzero remainder means the values are not those of
-    an integer polynomial of degree <= d: that raises ArithmeticError.
-    The c_k are the coefficients in the falling-factorial (Newton)
-    basis, p = c_0 + t (c_1 + (t-1) (c_2 + ... + (t-d+1) c_d)), which
+    >>> tpoly_value_pair([1, 2, 3], 2)          # 1 + 2t + 3t^2
+    (17, 9)
+    """
+    x2 = x * x
+    even = odd = 0
+    for c in reversed(p[::2]):
+        even = even * x2 + c
+    for c in reversed(p[1::2]):
+        odd = odd * x2 + c
+    odd *= x
+    return even + odd, even - odd
+
+
+def tpoly_interpolate(values: Sequence[int], start: int = 0) -> list:
+    """The trimmed coefficient list of the integer polynomial p of
+    degree below d+1 = len(values) with p(start + x) = values[x],
+    x = 0..d.
+
+    Newton's forward formula p(t) = sum_k Delta^k p(a) C(t - a, k),
+    k = 0..d, a = start, is exact for deg p <= d.  The coefficients
+    c_k = Delta^k p(a) / k! are integers when p has integer
+    coefficients, for then so has q(u) = p(u + a), say a_m: by
+    Stirling, u^m = sum_k S(m, k) u(u-1)...(u-k+1) =
+    sum_k S(m, k) k! C(u, k), so q(u) = sum_k (k! sum_m a_m S(m, k))
+    C(u, k), and as the C(u, k) are a basis, Delta^k p(a) =
+    Delta^k q(0) = k! sum_m a_m S(m, k).  So each division is exact,
+    and a nonzero remainder means the values are not those of an
+    integer polynomial of degree <= d: that raises ArithmeticError.
+    The c_k are the coefficients in the Newton basis at a, a+1, ...,
+    p = c_0 + (t-a) (c_1 + (t-a-1) (c_2 + ... + (t-a-d+1) c_d)), which
     Horner expands from the inside out.  Both steps cost O(d^2).
 
     >>> tpoly_interpolate([1, 3, 7, 13])       # 1 + t + t^2
+    [1, 1, 1]
+    >>> tpoly_interpolate([1, 1, 3, 7], -1)    # the same, at -1, 0, 1, 2
     [1, 1, 1]
 
     and t(t-1)/2, whose Delta^2 p(0) is 1, is refused:
@@ -240,9 +264,10 @@ def tpoly_interpolate(values: Sequence[int]) -> list:
         newton[k] = q
     out = newton[-1:] or [0]
     for k in range(len(newton) - 2, -1, -1):
-        # out = out * (t - k) + c_k
-        out = [newton[k] - k * out[0],
-               *map(sub, out, map(k.__mul__, out[1:])), out[-1]]
+        # out = out * (t - a) + c_k, a = start + k
+        a = start + k
+        out = [newton[k] - a * out[0],
+               *map(sub, out, map(a.__mul__, out[1:])), out[-1]]
     return _tpoly_trim(out)
 
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from permclass import algebraic, class_a, fixtures, perms
@@ -27,6 +29,18 @@ def test_equation_residuals(state_a60):
     res2, res3 = reference.class_a_equation_residuals(state_a60)
     assert res2 > state_a60.order
     assert res3 > state_a60.order
+
+
+def test_rows_to_100_are_pinned(state_a100):
+    """Every coefficient of f and fskew to order 100, past the order-60
+    residual check: the sha256 of the rows, one a line with space-
+    separated coefficients, f's first, as computed at commit 42efc2f
+    with the points t = 0, 1, 2, ... and Horner values."""
+    text = "".join(" ".join(map(str, row)) + "\n"
+                   for series in (state_a100.f, state_a100.fskew)
+                   for row in series.c)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "79adfcfba577716b97e7a93f75f83c5de057900ce93325b03acf65c720f2bc09")
 
 
 def test_eq5_annihilates_counts_to_100(state_a100):

@@ -483,12 +483,16 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
 
 
 def test_inexact_interpolation_exit_code(capsys, monkeypatch):
-    """With every row's value at t = 2 off by one, the product values
-    at t = 2 are off too, and the interpolation's division by 2! leaves
-    a remainder: exit 6 with one error line."""
-    value = class_a.tpoly_value
-    monkeypatch.setattr(class_a, "tpoly_value",
-                        lambda p, x: value(p, x) + (x == 2))
+    """With every row value that the paired evaluator forms at t = 2 off
+    by one, the product values at t = 2 are off too, and the
+    interpolation's division by k! leaves a remainder: exit 6 with one
+    error line."""
+    pair = class_a.tpoly_value_pair
+
+    def off_at_2(p, x):
+        plus, minus = pair(p, x)
+        return plus + (x == 2), minus
+    monkeypatch.setattr(class_a, "tpoly_value_pair", off_at_2)
     code, out, err = run_cli(capsys, "count", "--class", "class_a", "--n",
                              "10", "--method", "functional_equation")
     assert code == cli.EXIT_INCONSISTENT

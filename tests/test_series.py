@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from permclass.series import (BivariateSeries, OnlineQuotient, SeriesError,
                               UnivariateSeries, row_product,
-                              tpoly_interpolate)
+                              tpoly_interpolate, tpoly_value_pair)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
                   max_size=7)
@@ -227,28 +227,46 @@ big_ints = st.integers(min_value=-10 ** 30, max_value=10 ** 30)
 
 
 @given(st.lists(big_ints, max_size=41), st.integers(min_value=0,
-                                                    max_value=3))
-@example(coeffs=[], extra=0)          # the zero polynomial, one point
-@example(coeffs=[0, 0, 0], extra=0)   # the zero polynomial, three points
-@example(coeffs=[-7], extra=0)        # degree 0, one point
-def test_tpoly_interpolate_recovers_coefficients(coeffs, extra):
-    """Values at 0..d of an integer polynomial of degree <= d, computed
-    here term by term, interpolate back to its trimmed coefficients."""
+                                                    max_value=3),
+       st.integers(min_value=-25, max_value=0))
+@example(coeffs=[], extra=0, start=0)          # the zero polynomial, one point
+@example(coeffs=[0, 0, 0], extra=0, start=0)   # the zero polynomial, 3 points
+@example(coeffs=[-7], extra=0, start=0)        # degree 0, one point
+@example(coeffs=[1, 1, 1], extra=0, start=-1)  # points -1..1, as in class A
+def test_tpoly_interpolate_recovers_coefficients(coeffs, extra, start):
+    """Values at start..start+d of an integer polynomial of degree <= d,
+    computed here term by term, interpolate back to its trimmed
+    coefficients."""
     d = max(len(coeffs) - 1, 0) + extra
     values = [sum(c * x ** k for k, c in enumerate(coeffs))
-              for x in range(d + 1)]
+              for x in range(start, start + d + 1)]
     want = list(coeffs) or [0]
     while len(want) > 1 and want[-1] == 0:
         want.pop()
-    assert tpoly_interpolate(values) == want
+    assert tpoly_interpolate(values, start) == want
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("extra", [0, 2])
 def test_tpoly_interpolate_rejects_non_integer_polynomials(k, extra):
-    """C(t, k), integer-valued but with non-integer coefficients, at
-    0..k+extra: Delta^k p(0) = 1 is not divisible by k!.  k = 2 gives
-    [0, 0, 1], t(t-1)/2."""
+    """C(t - start, k), integer-valued but with non-integer
+    coefficients, at start..start+k+extra: Delta^k p(start) = 1 is not
+    divisible by k!.  k = 2, start = 0 gives [0, 0, 1], t(t-1)/2; the
+    last start puts every point at or below 0."""
     values = [math.comb(x, k) for x in range(k + extra + 1)]
-    with pytest.raises(ArithmeticError):
-        tpoly_interpolate(values)
+    for start in (0, -1, -k - extra):
+        with pytest.raises(ArithmeticError):
+            tpoly_interpolate(values, start)
+
+
+@given(st.lists(big_ints, max_size=41),
+       st.integers(min_value=0, max_value=10 ** 6))
+@example(coeffs=[], x=3)              # the empty list
+@example(coeffs=[-7], x=5)            # degree 0
+@example(coeffs=[1, 2, 3], x=2)       # odd length
+@example(coeffs=[1, 2, 3, 4], x=2)    # even length
+@example(coeffs=[10 ** 30, -10 ** 30], x=0)
+def test_tpoly_value_pair_is_two_plain_evaluations(coeffs, x):
+    """The values at x and -x are those of sum(c x^k) at each."""
+    assert tpoly_value_pair(coeffs, x) == tuple(
+        sum(c * y ** k for k, c in enumerate(coeffs)) for y in (x, -x))
