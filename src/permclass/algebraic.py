@@ -395,38 +395,33 @@ def kernel_root_check(n_max: int, state: "class_b.ClassBState") -> dict:
 # growth rates
 # ---------------------------------------------------------------------
 
-def growth_estimate(counts: list[int], mode: str = "extrapolated") -> float:
-    """Numeric growth-rate estimate from a counting sequence.
+def growth_estimate(counts: list[int]) -> tuple[float, float]:
+    """Numeric growth-rate estimates from a counting sequence c_0..c_N:
+    (ratio, extrapolated).
 
-    ratio mode: c_N / c_{N-1}.  extrapolated mode: one Richardson step
+    ratio: r_N = c_N / c_{N-1}.  extrapolated: one Richardson step
     against a 1/n correction, N r_N - (N-1) r_{N-1}, appropriate for
     ratios converging like gamma (1 + alpha/n).
 
-    >>> growth_estimate([2 ** n for n in range(12)], "ratio")
-    2.0
-    >>> growth_estimate([2 ** n for n in range(12)], "extrapolated")
-    2.0
+    >>> growth_estimate([2 ** n for n in range(12)])
+    (2.0, 2.0)
     """
     nz = [c for c in counts if c]
     if len(nz) < 10:
         raise ValueError("need at least 10 nonzero terms")
     n = len(counts) - 1
     r_n = counts[n] / counts[n - 1]
-    if mode == "ratio":
-        return r_n
-    if mode != "extrapolated":
-        raise ValueError("mode must be 'ratio' or 'extrapolated'")
     r_prev = counts[n - 1] / counts[n - 2]
-    return n * r_n - (n - 1) * r_prev
+    return r_n, n * r_n - (n - 1) * r_prev
 
 
 def growth_exact(minpoly: MultivariatePolynomial) -> list[float]:
     """Positive real singularity candidates of the algebraic function
     defined by minpoly(z, y) = 0: roots of the y-discriminant and of
-    the leading y-coefficient.  A y-free polynomial is treated as a
-    direct root-finding problem in z.  Each root is reported as the
-    grid point 2^-_GRID_BITS at or below it (see _positive_roots),
-    rounded to 12 places.
+    the leading y-coefficient.  A polynomial in z alone is treated as a
+    direct root-finding problem.  Each root is reported as the grid
+    point 2^-_GRID_BITS at or below it (see _positive_roots), rounded to
+    12 places.
 
     >>> z, y = MultivariatePolynomial.variables("z", "y")
     >>> growth_exact(y * (1 - z) - 1)
@@ -434,9 +429,7 @@ def growth_exact(minpoly: MultivariatePolynomial) -> list[float]:
     """
     dy = minpoly.degree("y") if "y" in minpoly.vars else 0
     if dy <= 0:
-        target = minpoly if len(minpoly.vars) == 1 else \
-            minpoly.coefficient_in("y", 0)
-        candidates = _positive_roots(_z_coeffs(target))
+        candidates = _positive_roots(_z_coeffs(minpoly))
     else:
         disc = discriminant_in_z(minpoly)
         lead = minpoly.coefficient_in("y", dy)
@@ -457,7 +450,7 @@ def reported_growth(candidates: list[float], counts: list[int]) -> float:
     """The reciprocal of the smallest singularity candidate (as listed
     by growth_exact) within GROWTH_TOLERANCE (relative) of the numeric
     estimate from the counting sequence."""
-    estimate = growth_estimate(counts, "extrapolated")
+    _ratio, estimate = growth_estimate(counts)
     for cand in candidates:
         if cand > 0 and (abs(1.0 / cand - estimate)
                          <= GROWTH_TOLERANCE * estimate):

@@ -196,8 +196,7 @@ def cmd_verify(args) -> int:
 def cmd_growth(args) -> int:
     class_id = args.class_id
     counts = _fe_counts(class_id, args.terms)
-    ratio = algebraic.growth_estimate(counts, "ratio")
-    extrapolated = algebraic.growth_estimate(counts, "extrapolated")
+    ratio, extrapolated = algebraic.growth_estimate(counts)
     payload = {"command": "growth", "class": class_id,
                "terms": args.terms, "ratio": ratio,
                "extrapolated": extrapolated}

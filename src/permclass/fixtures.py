@@ -52,8 +52,10 @@ def parse_poly_text(text: str) -> MultivariatePolynomial:
     header, term_list = text.split("\n", 1)
     if not header.startswith("vars: "):
         raise ValueError("missing 'vars:' header")
-    return MultivariatePolynomial.parse(term_list,
-                                        header[len("vars: "):].split())
+    names = header[len("vars: "):].split()
+    if len(set(names)) != len(names):
+        raise ValueError("repeated variable name in %r" % header)
+    return MultivariatePolynomial.parse(term_list, names)
 
 
 def eq5_min_poly() -> MultivariatePolynomial:

@@ -14,13 +14,13 @@ follows (``_kernels``), plus the rank of its last entry and its
 statistic when a statistic is tabulated.  The subtree below an avoider
 depends only on its key, so a length is held as a dict from key to
 multiplicity, each key expanded once.  The two bases of interest are
-the only ones with such a label.  Counts and statistic rows are tallied
-from the multiplicities, each child's statistic updated from its
-parent's.  The last length is counted, not built: its avoiders are
-tallied from their parents' numbers of free slots.  Memory grows with
-the distinct keys of one length, not with the counts: at n_max = 10,
-length 8 has 248 keys for class A and 74 for class B for plain counts,
-and 545 and 163 with the statistic of the functional equation.
+the only ones with such a label.  Every length is tallied from the
+keys one length below by the rank class of the appended slot, each
+statistic rule evaluated once per class, so the last length is counted
+without being built.  Memory grows with the distinct keys of one
+length, not with the counts: at n_max = 10, length 8 has 248 keys for
+class A and 74 for class B for plain counts, and 545 and 163 with the
+statistic of the functional equation.
 """
 from __future__ import annotations
 
@@ -75,9 +75,9 @@ def default_budget() -> int:
 # The empty permutation's last entry is taken as 1, so it has no ascent
 # and its one child, 1, extends its decreasing run.  Each step is
 # constant on each of the ranks {1}, {2..last} and {last+1..k}, which
-# lets the walk tally the last length by class.  Every statistic is
-# taken as 0 on the empty permutation (gap_count is undefined there and
-# its length-0 row is left empty).
+# lets the walk tally every length by class, one step per class.  Every
+# statistic is taken as 0 on the empty permutation (gap_count is
+# undefined there and its length-0 row is left empty).
 def _step_initial_decreasing_run(n: int, last: int, s: int, v: int) -> int:
     return s + 1 if s == n and v <= last else s
 
@@ -110,26 +110,6 @@ STATISTICS: dict[str, Callable[[int, int, int, int], int]] = {
 }
 
 
-class _Budget:
-    __slots__ = ("budget", "left")
-
-    def __init__(self, budget: int | None):
-        self.budget = budget if budget is not None else default_budget()
-        if self.budget < 0:
-            raise ValueError("node budget must be >= 0, got %d" % self.budget)
-        self.left = self.budget
-
-    def spend(self, amount: int, length: int) -> None:
-        """Spend on the children formed at the given length."""
-        self.left -= amount
-        if self.left < 0:
-            raise BudgetExceededError(
-                "node budget of %d children exhausted while "
-                "generating length %d; lengths up to %d are complete; "
-                "raise it with --node-budget or %s"
-                % (self.budget, length, length - 1, BUDGET_ENV_VAR))
-
-
 def _walk(basis: Basis, n_max: int, node_budget: int | None,
           step: Callable[[int, int, int, int], int] | None = None
           ) -> tuple[list[int], list[list[int]]]:
@@ -145,12 +125,14 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     ``_kernels.LABEL_TREES``, the rank of the last entry among the free
     slots and the statistic s.  The last entry and s are keyed only
     with a ``step``.  The subtree below an avoider depends only on its
-    key, so equal keys are merged and expanded once, each child formed
-    from its parent's label and the rank a of its appended slot.  The
-    avoiders of length n_max - 1 are keyed without a label and not
-    expanded: their children are tallied from k and last over the
-    three classes of rank, 1, 2..last and last+1..k, on which every
-    step is constant.
+    key, so equal keys are merged and expanded once.  Every length is
+    tallied from the keys one length below by the three classes of
+    rank, 1, 2..last and last+1..k, on which every step is constant:
+    the step is evaluated once per class, and each child, formed from
+    its parent's label and the rank a of its appended slot, takes the
+    value of a's class.  The children of length n_max are tallied but
+    not formed, and those of length n_max - 1 are keyed without a
+    label, since they are not expanded.
 
     Before a length n is generated the budget is spent by the children
     it forms, k for every key of length n - 1, so when it runs out every
@@ -161,36 +143,45 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
         raise ValueError("n_max must be >= 0")
     if basis not in _kernels.LABEL_TREES:
         raise ValueError("no generating-tree kernels for basis %s" % basis)
-    budget = _Budget(node_budget)
+    budget = node_budget if node_budget is not None else default_budget()
+    if budget < 0:
+        raise ValueError("node budget must be >= 0, got %d" % budget)
+    left = budget
     root, size, child = _kernels.LABEL_TREES[basis]
     counts = [1] + [0] * n_max
     rows = [[0] * (n + 2) for n in range(n_max + 1)]
     rows[0][0] = 1
     level = {(1, root, 1, 0): 1}    # the empty avoider, last rank 1
     for n in range(1, n_max + 1):   # the length being generated
-        budget.spend(sum(key[0] for key in level), n)
+        left -= sum(key[0] for key in level)
+        if left < 0:
+            raise BudgetExceededError(
+                "node budget of %d children exhausted while "
+                "generating length %d; lengths up to %d are complete; "
+                "raise it with --node-budget or %s"
+                % (budget, n, n - 1, BUDGET_ENV_VAR))
         row = rows[n]
-        if n == n_max:
-            for (k, _label, last, s), c in level.items():
-                counts[n] += c * k
-                if step is None:
-                    continue
-                row[step(n - 1, last, s, 1)] += c
-                if last > 1:
-                    row[step(n - 1, last, s, 2)] += c * (last - 1)
-                if k > last:
-                    row[step(n - 1, last, s, last + 1)] += c * (k - last)
-            break
         grow = n < n_max - 1        # whether the children are expanded
         children: dict[tuple, int] = {}
         for (k, label, last, s), c in level.items():
+            t1 = t2 = t3 = 0
+            if step is not None:
+                t1 = step(n - 1, last, s, 1)
+                if last > 1:
+                    t2 = step(n - 1, last, s, 2)
+                if k > last:
+                    t3 = step(n - 1, last, s, last + 1)
             counts[n] += c * k
+            row[t1] += c
+            row[t2] += c * (last - 1)
+            row[t3] += c * (k - last)
+            if n == n_max:
+                continue
             for a in range(1, k + 1):
-                t = step(n - 1, last, s, a) if step is not None else 0
-                row[t] += c
                 label_a, last_a = child(label, a)
                 key = (size(label_a), label_a if grow else None,
-                       last_a if step is not None else 1, t)
+                       last_a if step is not None else 1,
+                       t1 if a == 1 else t2 if a <= last else t3)
                 children[key] = children.get(key, 0) + c
         level = children
     return counts, rows

@@ -100,12 +100,10 @@ def test_criterion_08_kernel_divisibility_and_root_annihilation(state_b60):
 
 
 def test_criterion_09_growth_rates_numeric(state_a60, state_b60):
-    est_a = algebraic.growth_estimate(class_a.counts(state_a60),
-                                      "extrapolated")
+    _ratio, est_a = algebraic.growth_estimate(class_a.counts(state_a60))
     assert abs(est_a - 6.4) < 0.05
     roots = algebraic.growth_exact(fixtures.growth_quartic())
     quartic_root = max(roots)
     assert abs(quartic_root - 5.63) <= 0.01
-    est_b = algebraic.growth_estimate(class_b.counts(state_b60),
-                                      "extrapolated")
+    _ratio, est_b = algebraic.growth_estimate(class_b.counts(state_b60))
     assert abs(est_b - quartic_root) < 0.05

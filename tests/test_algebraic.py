@@ -220,12 +220,18 @@ def test_kernel_root_check_small():
 
 def test_growth_estimate_geometric():
     seq = [2 ** n for n in range(15)]
-    assert algebraic.growth_estimate(seq, "ratio") == 2.0
-    assert algebraic.growth_estimate(seq, "extrapolated") == 2.0
+    assert algebraic.growth_estimate(seq) == (2.0, 2.0)
     with pytest.raises(ValueError):
-        algebraic.growth_estimate([1, 2, 3], "ratio")
-    with pytest.raises(ValueError):
-        algebraic.growth_estimate(seq, "bogus")
+        algebraic.growth_estimate([1, 2, 3])
+
+
+def test_growth_estimate_richardson_removes_1_over_n():
+    """a_n = (n+1) 3^n has ratios 3 (1 + 1/n), exactly the correction
+    one Richardson step removes: the ratio alone is off by 3/N."""
+    seq = [(n + 1) * 3 ** n for n in range(15)]
+    ratio, extrapolated = algebraic.growth_estimate(seq)
+    assert ratio == pytest.approx(3 + 3 / 14, abs=1e-12)
+    assert extrapolated == pytest.approx(3, abs=1e-9)
 
 
 def test_growth_exact_geometric():

@@ -283,6 +283,21 @@ def test_verify_foreign_variables_rejected(tmp_path, capsys):
         "got x\n"
 
 
+@pytest.mark.parametrize("header", ["vars: z y y", "vars: z z y"],
+                         ids=["y_twice", "z_twice"])
+def test_verify_repeated_variable_rejected(tmp_path, capsys, header):
+    """A variable named twice in the header is refused before any term
+    is read, not read as a missing or merged variable."""
+    poly = tmp_path / "repeated.txt"
+    poly.write_text(header + "\n1:z*y -1:1\n")
+    code, out, err = run_cli(capsys, "verify", "--class", "class_a",
+                             "--poly", str(poly), "--order", "20")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot parse polynomial file: repeated " \
+        "variable name in %r\n" % header
+
+
 def test_verify_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "verify", "--class", "class_a",
                            "--fixture", "nope", "--order", "10")

@@ -19,6 +19,12 @@ def test_all_fixtures_load_and_verify():
     assert polys["quartic"].vars == ("z",)
 
 
+@pytest.mark.parametrize("header", ["vars: z y y", "vars: z z y"])
+def test_repeated_variable_name_rejected(header):
+    with pytest.raises(ValueError, match="repeated variable name"):
+        fixtures.parse_poly_text(header + "\n1:z*y -1:1\n")
+
+
 def test_checksums_name_exactly_the_data_files():
     """No orphan data file and no stale checksum: CHECKSUMS lists every
     other file in data/, and each loads through its checksum."""

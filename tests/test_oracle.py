@@ -208,9 +208,10 @@ def test_budget_counts_candidate_children():
 
 @pytest.mark.parametrize("stat", sorted(oracle.STATISTICS))
 def test_step_constant_on_each_value_class(stat):
-    """The last length is tallied by popcount over the appended values
-    1, 2..last and last+1..n+1, so every step must be constant on each
-    (the empty parent's last entry is taken as 1)."""
+    """Every length is tallied, and each child's statistic taken, from
+    one step per class of appended values 1, 2..last and last+1..n+1,
+    so every step must be constant on each (the empty parent's last
+    entry is taken as 1)."""
     step = oracle.STATISTICS[stat]
     for n in range(8):
         for last in range(max(n, 1) + 1):
