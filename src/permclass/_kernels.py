@@ -28,8 +28,10 @@ rank_F(x) = |{f in F : f <= x}|:
 
 ``class_{a,b}_child(label, a)`` give the label of p+v, v the free slot
 of rank a, and rank_F'(v) over the child's free slots F', the rank of
-its last entry.  ``LABEL_TREES`` holds them with the empty permutation's label
-and a label's number of free slots.  The child checks
+its last entry; ``class_{a,b}_child_size(label, a)`` give the child's
+number of free slots |F'| and the same rank, without forming its label.
+Per basis, ``LABEL_TREES`` holds the empty permutation's label, a
+label's number of free slots, and these two.  The child checks
 ``class_{a,b}_child_ok`` exist only because ``perfbench/tracing.py``
 wraps them; the walk calls neither.
 """
@@ -149,11 +151,39 @@ def class_b_child(label: tuple, a: int) -> tuple[tuple, int]:
     return (k + 1, a + 1, a), a
 
 
+def class_a_child_size(label: tuple, a: int) -> tuple[int, int]:
+    """The number of free slots of p+v and the rank of v among them, as
+    ``class_a_child`` gives them, without forming the child's label.
+
+    With k = len(L) and R = L[a-1]: if R > 0 the child keeps p's a-1
+    free slots below v, v itself and p's k-R of rank > R, a+k-R in
+    all; if R = 0 it has k+1.  Either way v has rank a.
+    """
+    top = label[a - 1]
+    return (a + len(label) - top if top else len(label) + 1), a
+
+
+def class_b_child_size(label: tuple, a: int) -> tuple[int, int]:
+    """Like ``class_a_child_size`` for 1432 and 2143: the first entry
+    of ``class_b_child``'s label in each of its four cases, and the
+    rank of v."""
+    k, g, m = label
+    if a == 1:
+        return k + 1, 1
+    if m >= a:
+        return k - a + 2, 1
+    if g < a:
+        return g + 1 + k - a, g
+    return k + 1, a
+
+
 # Per basis: the empty permutation's label (one free slot), the number
-# of free slots of a label, and the child's label.
+# of free slots of a label, the child's label and the child's number of
+# free slots, each child with the rank of its last entry.
 LABEL_TREES: dict[Basis, tuple] = {
-    CLASS_A_BASIS: ((0,), len, class_a_child),
-    CLASS_B_BASIS: ((1, 1, 0), itemgetter(0), class_b_child),
+    CLASS_A_BASIS: ((0,), len, class_a_child, class_a_child_size),
+    CLASS_B_BASIS: ((1, 1, 0), itemgetter(0), class_b_child,
+                    class_b_child_size),
 }
 
 

@@ -49,7 +49,7 @@ def parse_poly_text(text: str) -> MultivariatePolynomial:
     """Parse a polynomial file: a `vars: z y` header line, then the term
     list of ``MultivariatePolynomial.serialize``.  Raises ValueError
     when the text is malformed."""
-    header, term_list = text.split("\n", 1)
+    header, _, term_list = text.partition("\n")
     if not header.startswith("vars: "):
         raise ValueError("missing 'vars:' header")
     names = header[len("vars: "):].split()

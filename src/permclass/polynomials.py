@@ -299,20 +299,35 @@ class MultivariatePolynomial:
 
     @classmethod
     def parse(cls, text: str, vars: Iterable[str]) -> "MultivariatePolynomial":
+        """The inverse of ``serialize``.  Raises ValueError naming the
+        first malformed term and its fault."""
         vars = tuple(vars)
         terms: dict = {}
+
+        def number(s: str, what: str) -> int:
+            try:
+                return int(s)
+            except ValueError:
+                raise ValueError("term %r: %s %r is not an integer"
+                                 % (token, what, s)) from None
+
         for token in text.split():
-            coef_s, mono = token.split(":", 1)
+            coef_s, colon, mono = token.partition(":")
+            if not colon:
+                raise ValueError("term %r: no ':' after the coefficient"
+                                 % token)
             e = [0] * len(vars)
             if mono != "1":
                 for factor in mono.split("*"):
-                    if "^" in factor:
-                        name, k = factor.split("^")
-                        e[vars.index(name)] += int(k)
-                    else:
-                        e[vars.index(factor)] += 1
+                    name, caret, k = factor.partition("^")
+                    if name not in vars:
+                        raise ValueError(
+                            "term %r: variable %r is not in the header"
+                            % (token, name))
+                    e[vars.index(name)] += number(k, "exponent") \
+                        if caret else 1
             e = tuple(e)
-            terms[e] = terms.get(e, 0) + int(coef_s)
+            terms[e] = terms.get(e, 0) + number(coef_s, "coefficient")
         return cls(vars, terms)
 
     def __str__(self) -> str:

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import pytest
 
@@ -298,6 +301,43 @@ def test_verify_repeated_variable_rejected(tmp_path, capsys, header):
         "variable name in %r\n" % header
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("vars: z y\n1:x*y\n", "term '1:x*y': variable 'x' is not in the "
+     "header"),
+    ("vars: z y\n1:z**2*y\n", "term '1:z**2*y': variable '' is not in "
+     "the header"),
+    ("vars: z y\n1 z*y\n", "term '1': no ':' after the coefficient"),
+    ("vars: z y\n1:z^2^3\n", "term '1:z^2^3': exponent '2^3' is not an "
+     "integer"),
+    ("vars: z y\n1:z^a\n", "term '1:z^a': exponent 'a' is not an "
+     "integer"),
+    ("vars: z y\nx:z\n", "term 'x:z': coefficient 'x' is not an integer"),
+    ("vars: z y\n:y\n", "term ':y': coefficient '' is not an integer"),
+    ("", "missing 'vars:' header"),
+], ids=["foreign_variable", "double_star", "no_colon", "double_caret",
+        "bad_exponent", "bad_coefficient", "no_coefficient", "empty_file"])
+def test_verify_malformed_term_named(tmp_path, capsys, text, reason):
+    """A malformed polynomial file is refused with one line naming the
+    term and its fault, not Python's own message."""
+    poly = tmp_path / "bad.txt"
+    poly.write_text(text)
+    code, out, err = run_cli(capsys, "verify", "--class", "class_a",
+                             "--poly", str(poly), "--order", "20")
+    assert code == 2
+    assert out == ""
+    assert err == "error: cannot parse polynomial file: %s\n" % reason
+
+
+def test_verify_header_without_newline_has_no_terms(tmp_path, capsys):
+    poly = tmp_path / "header.txt"
+    poly.write_text("vars: z y")
+    code, out, err = run_cli(capsys, "verify", "--class", "class_a",
+                             "--poly", str(poly), "--order", "20")
+    assert code == 2
+    assert out == ""
+    assert err == "error: the zero polynomial annihilates every series\n"
+
+
 def test_verify_unknown_fixture(capsys):
     code, _, err = run_cli(capsys, "verify", "--class", "class_a",
                            "--fixture", "nope", "--order", "10")
@@ -544,3 +584,24 @@ def test_csv_only_for_tables(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "invalid choice: 'csv'" in captured.err
+
+
+def _readme_commands():
+    """Every ``permclass ...`` line in README's code blocks."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    blocks = re.findall(r"^```\w*\n(.*?)^```", readme.read_text(),
+                        re.S | re.M)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("permclass ")]
+
+
+def test_readme_commands_parse():
+    """README's examples are valid command lines; none is run."""
+    commands = _readme_commands()
+    assert len(commands) >= 9
+    parser = cli.build_parser()
+    for line in commands:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail("README command does not parse: %s" % line)

@@ -161,8 +161,10 @@ def _label_and_free(p, mask, basis, state_of):
 
 def _check_child_label(p, mask_of, basis, state_of):
     """The label kernel's child of p at each free slot v is the label of
-    p+v and the number of its free slots <= v, both from ``mask_of``."""
-    child = _kernels.LABEL_TREES[basis][2]
+    p+v and the number of its free slots <= v, and its size kernel gives
+    the number of free slots of p+v and the same rank, all from
+    ``mask_of``."""
+    child, child_size = _kernels.LABEL_TREES[basis][2:]
     label, free = _label_and_free(p, mask_of(p), basis, state_of)
     assert free[0] == 1     # no basis pattern ends in its 1
     for a, v in enumerate(free, 1):
@@ -170,6 +172,7 @@ def _check_child_label(p, mask_of, basis, state_of):
         want, q_free = _label_and_free(q, mask_of(q), basis, state_of)
         last = sum(f <= v for f in q_free)
         assert child(label, a) == (want, last), (p, v)
+        assert child_size(label, a) == (len(q_free), last), (p, v)
 
 
 @pytest.mark.parametrize("basis, state_of", [b[:2] for b in BASES],

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from permclass import class_a, class_b, cli, oracle
+from permclass import _kernels, class_a, class_b, cli, oracle
 from permclass.perms import (CLASS_A_BASIS, CLASS_B_BASIS, Basis, Perm,
                              parse_perm)
 
@@ -204,6 +204,34 @@ def test_budget_counts_candidate_children():
     assert sum(_spends(CLASS_A_BASIS, 6, None)) == 93
     with pytest.raises(oracle.BudgetExceededError):
         oracle.enumerate_avoiders(CLASS_A_BASIS, 6, node_budget=92)
+
+
+@pytest.mark.parametrize("basis, stat, calls", [
+    (CLASS_A_BASIS, None, 1363),
+    (CLASS_A_BASIS, "initial_decreasing_run", 2618),
+    (CLASS_B_BASIS, None, 614),
+    (CLASS_B_BASIS, "initial_decreasing_run", 1957),
+    (CLASS_B_BASIS, "trailing_increasing_run", 992),
+], ids=["class_a", "class_a_idr", "class_b", "class_b_idr", "class_b_tir"])
+def test_full_labels_formed_below_n_max_minus_1(monkeypatch, basis, stat,
+                                                calls):
+    """At n_max = 10 a child's full label is formed only for lengths
+    <= 8, the ones expanded; length 9 takes its children's free-slot
+    counts alone from the size kernel."""
+    root, size, child, child_size = _kernels.LABEL_TREES[basis]
+    formed = []
+
+    def counted(label, a):
+        formed.append(a)
+        return child(label, a)
+
+    monkeypatch.setitem(_kernels.LABEL_TREES, basis,
+                        (root, size, counted, child_size))
+    if stat is None:
+        oracle.enumerate_avoiders(basis, 10)
+    else:
+        oracle.statistic_distribution(basis, 10, stat)
+    assert len(formed) == calls
 
 
 @pytest.mark.parametrize("stat", sorted(oracle.STATISTICS))

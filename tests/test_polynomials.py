@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -67,6 +68,17 @@ def test_serialize_parse_round_trip():
     p = 3 * z ** 2 * y - 7 * y + 5
     assert MultivariatePolynomial.parse(p.serialize(), ("z", "y")) == p
     assert MultivariatePolynomial.parse("0:1", ("z", "y")).is_zero()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("1:z 2:w", "term '2:w': variable 'w' is not in the header"),
+    ("1:z 3*y", "term '3*y': no ':' after the coefficient"),
+    ("1:y^2^3", "term '1:y^2^3': exponent '2^3' is not an integer"),
+    ("1.5:y", "term '1.5:y': coefficient '1.5' is not an integer"),
+])
+def test_parse_names_the_malformed_term(text, reason):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(reason)):
+        MultivariatePolynomial.parse(text, ("z", "y"))
 
 
 def test_resultant_known_values():
