@@ -117,9 +117,10 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     """Walk the generating tree of the avoiders of length <= n_max one
     length at a time.
 
-    Returns (counts, rows): counts[n] avoiders of length n and, with a
-    ``step`` (a rule of STATISTICS), rows[n][k] of them with statistic
-    value k (rows[n] has n + 2 entries).
+    Returns (counts, rows): rows[n][k] avoiders of length n with
+    statistic value k under ``step`` (a rule of STATISTICS; without one,
+    all of them in column 0), rows[n] having n + 2 entries, and
+    counts[n], the sum of rows[n].
 
     A length is a dict from a key (k, label, last, s) to the number of
     avoiders with that key: k free slots, the label of
@@ -151,7 +152,6 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
         raise ValueError("node budget must be >= 0, got %d" % budget)
     left = budget
     root, size, child, child_size = _kernels.LABEL_TREES[basis]
-    counts = [1] + [0] * n_max
     rows = [[0] * (n + 2) for n in range(n_max + 1)]
     rows[0][0] = 1
     level = {(1, root, 1, 0): 1}    # the empty avoider, last rank 1
@@ -174,7 +174,6 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
                     t2 = step(n - 1, last, s, 2)
                 if k > last:
                     t3 = step(n - 1, last, s, last + 1)
-            counts[n] += c * k
             row[t1] += c
             row[t2] += c * (last - 1)
             row[t3] += c * (k - last)
@@ -191,7 +190,7 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
                        t1 if a == 1 else t2 if a <= last else t3)
                 children[key] = children.get(key, 0) + c
         level = children
-    return counts, rows
+    return [sum(row) for row in rows], rows
 
 
 def enumerate_avoiders(b: Basis, n_max: int,

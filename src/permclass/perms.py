@@ -9,7 +9,6 @@ reference (tests/reference.py).
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -93,10 +92,12 @@ def contains(host: Perm, pattern: Perm) -> bool:
     return _occurs(host.entries, pattern.entries)
 
 
-def _occurs(host: Sequence[int], pat: Sequence[int]) -> bool:
+def _occurs(host: Sequence[int], pat: Sequence[int],
+            ending_at_last: bool = False) -> bool:
     # Backtracking over positions.  chosen[j] is the host value playing
     # pat[j]; each extension is pruned by comparing the candidate against
-    # every previously chosen value.
+    # every previously chosen value.  With ending_at_last, pat's last
+    # letter may only take the host's last index, n - 1.
     k = len(pat)
     n = len(host)
     chosen: list[int] = []
@@ -105,6 +106,8 @@ def _occurs(host: Sequence[int], pat: Sequence[int]) -> bool:
         j = len(chosen)
         if j == k:
             return True
+        if ending_at_last and j == k - 1:
+            start = max(start, n - 1)
         for i in range(start, n - (k - j) + 1):
             v = host[i]
             ok = True
@@ -130,28 +133,7 @@ def contains_ending_at_last(host: Perm, pattern: Perm) -> bool:
     k = len(pattern)
     if k == 0 or len(host) < k:
         return k == 0
-    entries = host.entries
-    v = entries[-1]
-    pat = pattern.entries
-    target = pat[-1]
-    prefix_pat = pat[:-1]
-    # v plays pat[-1]; the remaining k-1 letters come from the prefix.
-    for positions in itertools.combinations(range(len(entries) - 1), k - 1):
-        vals = [entries[i] for i in positions]
-        ok = True
-        for a in range(k - 1):
-            if (vals[a] < v) != (prefix_pat[a] < target):
-                ok = False
-                break
-            for b in range(a + 1, k - 1):
-                if (vals[a] < vals[b]) != (prefix_pat[a] < prefix_pat[b]):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return True
-    return False
+    return _occurs(host.entries, pattern.entries, ending_at_last=True)
 
 
 @dataclass(frozen=True)

@@ -142,8 +142,6 @@ class MultivariatePolynomial:
             self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            other = MultivariatePolynomial.constant(self.vars, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -166,14 +164,9 @@ class MultivariatePolynomial:
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power")
-        out = MultivariatePolynomial.constant(self.vars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        if k == 0:
+            return MultivariatePolynomial.constant(self.vars, 1)
+        return _power(self, k)
 
     def __eq__(self, other):
         if isinstance(other, int):
@@ -184,17 +177,13 @@ class MultivariatePolynomial:
     def __hash__(self):
         return hash((self.vars, frozenset(self.terms.items())))
 
-    def leading_term(self) -> tuple[tuple[int, ...], int]:
-        """(exponent, coefficient) of the lex-largest term."""
-        e = max(self.terms)
-        return e, self.terms[e]
-
     def exact_div(self, other: "MultivariatePolynomial") -> "MultivariatePolynomial":
         """Exact quotient in Z[vars]; raises NotDivisibleError otherwise."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        de, dc = other.leading_term()
+        de = max(other.terms)
+        dc = other.terms[de]
         q: dict = {}
         rem = dict(self.terms)
         while rem:
@@ -324,8 +313,11 @@ class MultivariatePolynomial:
                         raise ValueError(
                             "term %r: variable %r is not in the header"
                             % (token, name))
-                    e[vars.index(name)] += number(k, "exponent") \
-                        if caret else 1
+                    power = number(k, "exponent") if caret else 1
+                    if power < 0:
+                        raise ValueError("term %r: exponent %r is negative"
+                                         % (token, k))
+                    e[vars.index(name)] += power
             e = tuple(e)
             terms[e] = terms.get(e, 0) + number(coef_s, "coefficient")
         return cls(vars, terms)

@@ -313,9 +313,12 @@ def test_verify_repeated_variable_rejected(tmp_path, capsys, header):
      "integer"),
     ("vars: z y\nx:z\n", "term 'x:z': coefficient 'x' is not an integer"),
     ("vars: z y\n:y\n", "term ':y': coefficient '' is not an integer"),
+    ("vars: z y\n1:y -1:y^-1\n", "term '-1:y^-1': exponent '-1' is "
+     "negative"),
     ("", "missing 'vars:' header"),
 ], ids=["foreign_variable", "double_star", "no_colon", "double_caret",
-        "bad_exponent", "bad_coefficient", "no_coefficient", "empty_file"])
+        "bad_exponent", "bad_coefficient", "no_coefficient",
+        "negative_exponent", "empty_file"])
 def test_verify_malformed_term_named(tmp_path, capsys, text, reason):
     """A malformed polynomial file is refused with one line naming the
     term and its fault, not Python's own message."""
@@ -605,3 +608,21 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail("README command does not parse: %s" % line)
+
+
+def _exit_codes(text):
+    """The codes listed in the paragraph that begins "Exit codes:": the
+    number opening each item, parenthetical remarks left out."""
+    paragraph = text[text.index("Exit codes:"):].split("\n\n")[0]
+    items = re.sub(r"\([^()]*\)", "", paragraph)[len("Exit codes:"):]
+    return {int(code) for code in re.findall(r"(?:^|[,;])\s*(\d+)\b",
+                                             items)}
+
+
+def test_exit_codes_documented_once():
+    """The exit codes are the same in cli, its docstring and README."""
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    codes = {0, 2} | {value for name, value in vars(cli).items()
+                      if name.startswith("EXIT_")}
+    assert _exit_codes(cli.__doc__) == codes
+    assert _exit_codes(readme.read_text()) == codes

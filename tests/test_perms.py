@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -55,6 +57,26 @@ def test_contains_ending_at_last_consistent(p, pattern_text):
     elif contains(p, pattern):
         prefix = reference.standardize(p.entries[:-1])
         assert contains(prefix, pattern)
+
+
+def test_contains_ending_at_last_exhaustive():
+    """Every host of length <= 7 against every pattern of length <= 4,
+    the bases' included: an occurrence ending at the last entry is a
+    choice of prefix positions followed by the last position."""
+    patterns = [Perm(q) for k in range(5)
+                for q in itertools.permutations(range(1, k + 1))]
+    for n in range(8):
+        for entries in itertools.permutations(range(1, n + 1)):
+            host = Perm(entries)
+            ending = {perms.EMPTY}
+            for k in range(1, min(n, 4) + 1):
+                for positions in itertools.combinations(range(n - 1),
+                                                        k - 1):
+                    ending.add(reference.standardize(
+                        [entries[i] for i in positions + (n - 1,)]))
+            for pattern in patterns:
+                assert contains_ending_at_last(host, pattern) == \
+                    (pattern in ending), (host, pattern)
 
 
 def test_basis_rejects_non_antichain():

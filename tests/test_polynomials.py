@@ -28,6 +28,24 @@ def test_arithmetic_basics():
         MultivariatePolynomial.variable(("z",), "z")
 
 
+def test_power_is_repeated_product():
+    z, y = zy()
+    for p in (z * y - 1, algebraic.m2_poly()):
+        product = MultivariatePolynomial.constant(p.vars, 1)
+        for k in range(7):
+            assert p ** k == product
+            product = product * p
+        with pytest.raises(ValueError):
+            p ** -1
+
+
+def test_int_subtraction():
+    z, y = zy()
+    for p in (z * y - 1, algebraic.m2_poly()):
+        assert p - 3 == p + (-3)
+        assert 3 - p == -p + 3
+
+
 def test_negative_exponent_rejected():
     with pytest.raises(ValueError):
         MultivariatePolynomial(("z", "y"), {(0, 1): 1, (0, -1): -1})
@@ -75,6 +93,7 @@ def test_serialize_parse_round_trip():
     ("1:z 3*y", "term '3*y': no ':' after the coefficient"),
     ("1:y^2^3", "term '1:y^2^3': exponent '2^3' is not an integer"),
     ("1.5:y", "term '1.5:y': coefficient '1.5' is not an integer"),
+    ("1:y -1:y^-1", "term '-1:y^-1': exponent '-1' is negative"),
 ])
 def test_parse_names_the_malformed_term(text, reason):
     with pytest.raises(ValueError, match="^%s$" % re.escape(reason)):
