@@ -74,13 +74,13 @@ def guess_min_poly(series: UnivariateSeries, dy: int,
     Every known coefficient gives one linear equation on the (dy+1)(dz+1)
     unknown integer coefficients, solved by elimination mod p, CRT,
     rational reconstruction and an exact check over Z (see
-    _kernel_vector).  Returns None when only the zero polynomial fits or
-    when the margin (equations minus unknowns) falls below
-    GUESS_MARGIN_THRESHOLD; raises InsufficientDataError when the series
-    is too short to reach the threshold at all, and PrimeBudgetError
-    when MAX_PRIMES primes give no candidate that passes the exact
-    check.  Among solutions, one of minimal y-degree and then minimal
-    z-degree is returned in content-free canonical form.
+    _kernel_vector).  Returns None when only the zero polynomial fits;
+    raises InsufficientDataError when the series is too short for a
+    margin (equations minus unknowns) of GUESS_MARGIN_THRESHOLD, and
+    PrimeBudgetError when MAX_PRIMES primes give no candidate that
+    passes the exact check.  Among solutions, one of minimal y-degree
+    and then minimal z-degree is returned in content-free canonical
+    form.
     """
     if dy < 0 or dz < 0:
         raise ValueError("degree bounds must be >= 0, got dy=%d, dz=%d"
@@ -99,13 +99,11 @@ def guess_min_poly(series: UnivariateSeries, dy: int,
     if solution is None:
         return None
     # the columns at the tight bounds (ady, adz) keep their order, so the
-    # vector is also the first kernel vector there
+    # vector is also the first kernel vector there; they are no more than
+    # the unknowns, so the margin is at least GUESS_MARGIN_THRESHOLD
     poly, adz, ady = solution
-    margin = rows - (ady + 1) * (adz + 1)
-    if margin < GUESS_MARGIN_THRESHOLD:
-        return None
     return AlgebraicGuess(poly=poly, dy=ady, dz=adz,
-                          confidence_margin=margin)
+                          confidence_margin=rows - (ady + 1) * (adz + 1))
 
 
 def _nullspace_vector(powers: list[UnivariateSeries], dy: int, dz: int,
@@ -446,16 +444,14 @@ def discriminant_in_z(minpoly: MultivariatePolynomial
     return resultant(minpoly, minpoly.derivative("y"), "y")
 
 
-def reported_growth(candidates: list[float], counts: list[int]) -> float:
-    """The reciprocal of the smallest singularity candidate (as listed
-    by growth_exact) within GROWTH_TOLERANCE (relative) of the numeric
-    estimate from the counting sequence."""
-    _ratio, estimate = growth_estimate(counts)
-    for cand in candidates:
-        if cand > 0 and (abs(1.0 / cand - estimate)
-                         <= GROWTH_TOLERANCE * estimate):
-            return 1.0 / cand
-    raise ArithmeticError("no singularity candidate matches the estimate")
+def reported_growth(rates: list[float], estimate: float) -> float:
+    """The candidate growth rate nearest the numeric estimate; raises
+    ArithmeticError unless it lies within GROWTH_TOLERANCE (relative)
+    of the estimate."""
+    best = min(rates, key=lambda rate: abs(rate - estimate))
+    if abs(best - estimate) > GROWTH_TOLERANCE * estimate:
+        raise ArithmeticError("no growth candidate matches the estimate")
+    return best
 
 
 def _z_coeffs(p: MultivariatePolynomial) -> list[int]:

@@ -8,9 +8,10 @@ a given invocation.
 Exit codes: 0 success; 2 usage, parse or out-of-range input error;
 3 oracle/functional-equation mismatch; 4 node budget exhausted;
 5 verification failed; 6 internal consistency failure (any other
-ArithmeticError, such as a non-integer count or an inexact division);
-7 no polynomial found; 8 guess gave up: no kernel vector passed the
-exact check within algebraic.MAX_PRIMES primes.
+ArithmeticError, such as a non-integer count or an inexact division,
+or a bundled fixture whose checksum does not match); 7 no polynomial
+found; 8 guess gave up: no kernel vector passed the exact check within
+algebraic.MAX_PRIMES primes.
 """
 from __future__ import annotations
 
@@ -204,19 +205,21 @@ def cmd_growth(args) -> int:
              "extrapolated estimate: %.6f" % extrapolated]
     if class_id == "class_a":
         candidates = algebraic.growth_exact(fixtures.eq5_min_poly())
-        growth = algebraic.reported_growth(candidates, counts)
-        payload.update(candidates=candidates, exact_growth=growth,
+        rates = [1.0 / c for c in candidates]
+        payload.update(candidates=candidates,
                        note="singularity 5/32, growth 32/5")
-        lines += ["singularity candidates: %s"
-                  % ", ".join("%.9f" % c for c in candidates),
-                  "exact growth: %.6f (32/5 at singularity 5/32)" % growth]
+        lines.append("singularity candidates: %s"
+                     % ", ".join("%.9f" % c for c in candidates))
+        claim = "32/5 at singularity 5/32"
     else:
-        roots = algebraic.growth_exact(fixtures.growth_quartic())
-        best = min(roots, key=lambda r: abs(r - extrapolated))
-        payload.update(quartic_roots=roots, exact_growth=best)
-        lines += ["growth quartic roots: %s"
-                  % ", ".join("%.9f" % r for r in roots),
-                  "exact growth: %.6f (root of the quartic)" % best]
+        rates = algebraic.growth_exact(fixtures.growth_quartic())
+        payload.update(quartic_roots=rates)
+        lines.append("growth quartic roots: %s"
+                     % ", ".join("%.9f" % r for r in rates))
+        claim = "root of the quartic"
+    growth = algebraic.reported_growth(rates, extrapolated)
+    payload["exact_growth"] = growth
+    lines.append("exact growth: %.6f (%s)" % (growth, claim))
     _emit(args, payload, lines)
     return 0
 
@@ -318,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
     except algebraic.PrimeBudgetError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_PRIME_BUDGET
-    except ArithmeticError as exc:
+    except (ArithmeticError, fixtures.FixtureIntegrityError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return EXIT_INCONSISTENT
     except ValueError as exc:

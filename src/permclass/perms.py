@@ -83,12 +83,6 @@ def contains(host: Perm, pattern: Perm) -> bool:
     >>> contains(parse_perm("64357218"), parse_perm("132"))
     False
     """
-    k = len(pattern)
-    if k == 0:
-        return True
-    n = len(host)
-    if k > n:
-        return False
     return _occurs(host.entries, pattern.entries)
 
 
@@ -97,7 +91,9 @@ def _occurs(host: Sequence[int], pat: Sequence[int],
     # Backtracking over positions.  chosen[j] is the host value playing
     # pat[j]; each extension is pruned by comparing the candidate against
     # every previously chosen value.  With ending_at_last, pat's last
-    # letter may only take the host's last index, n - 1.
+    # letter may only take the host's last index, n - 1.  The empty
+    # pattern is found at once; a pattern longer than the host leaves
+    # the first range empty.
     k = len(pat)
     n = len(host)
     chosen: list[int] = []
@@ -130,9 +126,6 @@ def contains_ending_at_last(host: Perm, pattern: Perm) -> bool:
     element is the last entry of ``host``.  This is the incremental check
     used when permutations are generated by appending a rightmost entry.
     """
-    k = len(pattern)
-    if k == 0 or len(host) < k:
-        return k == 0
     return _occurs(host.entries, pattern.entries, ending_at_last=True)
 
 

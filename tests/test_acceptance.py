@@ -75,7 +75,9 @@ def test_criterion_06_final_degree3_polynomial_and_exact_growth(state_a60):
     assert any(abs(c - 5 / 32) < 1e-8 for c in candidates)
     assert algebraic.discriminant_in_z(eq5).eval(
         {"z": Fraction(5, 32)}) == 0
-    growth = algebraic.reported_growth(candidates, class_a.counts(state_a60))
+    _ratio, estimate = algebraic.growth_estimate(class_a.counts(state_a60))
+    growth = algebraic.reported_growth([1.0 / c for c in candidates],
+                                       estimate)
     assert abs(growth - 32 / 5) < 1e-6
 
 

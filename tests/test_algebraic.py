@@ -234,6 +234,24 @@ def test_growth_estimate_richardson_removes_1_over_n():
     assert extrapolated == pytest.approx(3, abs=1e-9)
 
 
+def test_reported_growth_takes_the_nearest_rate():
+    """Not the largest or the first in the window: of three rates within
+    25% of 5.6315, the nearest."""
+    rates = [0.836, 5.6318, 5.858]
+    assert algebraic.reported_growth(rates, 5.6315) == 5.6318
+    assert algebraic.reported_growth(rates[::-1], 5.6315) == 5.6318
+    assert algebraic.reported_growth([6.4, 1.0], 6.1) == 6.4
+
+
+def test_reported_growth_window_is_relative_and_closed():
+    assert algebraic.reported_growth([5.0], 4.0) == 5.0
+    with pytest.raises(ArithmeticError,
+                       match="no growth candidate matches the estimate"):
+        algebraic.reported_growth([5.01], 4.0)
+    with pytest.raises(ArithmeticError):
+        algebraic.reported_growth([0.836, 5.6318, 5.858], 20.0)
+
+
 def test_growth_exact_geometric():
     z, y = MultivariatePolynomial.variables("z", "y")
     assert algebraic.growth_exact(y * (1 - z) - 1) == [1.0]
@@ -284,5 +302,7 @@ def test_class_a_exact_growth(state_a60):
     assert candidates == [0.15625, 1.0]
     disc = algebraic.discriminant_in_z(eq5)
     assert disc.eval({"z": Fraction(5, 32)}) == 0
-    growth = algebraic.reported_growth(candidates, class_a.counts(state_a60))
+    _ratio, estimate = algebraic.growth_estimate(class_a.counts(state_a60))
+    growth = algebraic.reported_growth([1.0 / c for c in candidates],
+                                       estimate)
     assert abs(growth - 32 / 5) < 1e-12

@@ -1,10 +1,13 @@
+import importlib
 import json
 import pathlib
+import pkgutil
 import re
 import shlex
 
 import pytest
 
+import permclass
 from permclass import algebraic, class_a, class_b, cli, fixtures, oracle, perms
 from permclass.polynomials import MultivariatePolynomial, NotDivisibleError
 from permclass.series import ConsistencyError, UnivariateSeries
@@ -163,6 +166,28 @@ def test_guess_insufficient_data_message(capsys):
     assert err.splitlines() == [
         "error: need series order at least 29 for degree bounds (3, 4), "
         "have order 28"]
+
+
+@pytest.mark.parametrize("class_id, dy, dz, margin", [
+    ("class_a", 3, 4, 10), ("class_a", 5, 6, 32), ("class_a", 2, 2, None),
+    ("class_b", 8, 17, 10), ("class_b", 1, 1, None),
+])
+def test_guess_at_the_fewest_terms_keeps_the_margin(capsys, class_id, dy,
+                                                    dz, margin):
+    """At the fewest --terms the bounds allow, an accepted guess still
+    has GUESS_MARGIN_THRESHOLD equations to spare: its tight degrees
+    need no more unknowns than the bounds."""
+    terms = (dy + 1) * (dz + 1) + algebraic.GUESS_MARGIN_THRESHOLD - 1
+    code, out, _ = run_cli(capsys, "guess", "--class", class_id,
+                           "--terms", str(terms), "--dy", str(dy),
+                           "--dz", str(dz), "--format", "json")
+    if margin is None:
+        assert code == cli.EXIT_NO_GUESS
+    else:
+        assert code == 0
+        found = json.loads(out)["margin"]
+        assert found >= algebraic.GUESS_MARGIN_THRESHOLD
+        assert found == margin
 
 
 def test_guess_prime_budget_exit_code(capsys, monkeypatch):
@@ -411,6 +436,38 @@ def test_growth_terms_30_exact_output(capsys, class_id):
     assert json.loads(out) == payload
 
 
+EXACT_GROWTH = {"class_a": (6.4, "6.400000 (32/5 at singularity 5/32)"),
+                "class_b": (5.631759538825, "5.631760 (root of the quartic)")}
+
+
+@pytest.mark.parametrize("terms", [9, 10, 60])
+@pytest.mark.parametrize("class_id", sorted(EXACT_GROWTH))
+def test_growth_exact_line_and_json(capsys, class_id, terms):
+    """Each class's rate is the candidate nearest the estimate, from the
+    fewest terms the estimate takes on (30 terms: the whole output is
+    pinned by test_growth_terms_30_exact_output)."""
+    value, text = EXACT_GROWTH[class_id]
+    code, out, err = run_cli(capsys, "growth", "--class", class_id,
+                             "--terms", str(terms))
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "exact growth: " + text
+    code, out, err = run_cli(capsys, "growth", "--class", class_id,
+                             "--terms", str(terms), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["exact_growth"] == value
+
+
+@pytest.mark.parametrize("class_id", sorted(EXACT_GROWTH))
+def test_growth_estimate_far_from_every_candidate_exits_6(
+        capsys, monkeypatch, class_id):
+    monkeypatch.setattr(algebraic, "growth_estimate",
+                        lambda counts: (100.0, 100.0))
+    code, out, err = run_cli(capsys, "growth", "--class", class_id,
+                             "--terms", "30")
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err == "error: no growth candidate matches the estimate\n"
+
+
 TABLES = {
     "count_both_text": (
         ("count", "--class", "class_a", "--method", "both", "--n", "4"),
@@ -559,6 +616,20 @@ def test_inexact_interpolation_exit_code(capsys, monkeypatch):
                           "polynomial: Delta^") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--class", "class_a", "--fixture", "eq5", "--order", "10"),
+    ("growth", "--class", "class_a"),
+], ids=["verify", "growth"])
+def test_corrupted_fixture_exits_6_with_one_line(capsys, monkeypatch, argv):
+    data_text = fixtures._data_text
+    monkeypatch.setattr(fixtures, "_data_text",
+                        lambda name: data_text(name) + " ")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err.startswith("error: checksum mismatch for eq5_min_poly.txt: ")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("error", [
     ArithmeticError("P is not linear in y3"),
     NotDivisibleError("inexact polynomial division"),
@@ -617,6 +688,35 @@ def _exit_codes(text):
     items = re.sub(r"\([^()]*\)", "", paragraph)[len("Exit codes:"):]
     return {int(code) for code in re.findall(r"(?:^|[,;])\s*(\d+)\b",
                                              items)}
+
+
+def _package_exceptions():
+    """Every Exception subclass defined in a permclass module."""
+    found = []
+    for info in pkgutil.iter_modules(permclass.__path__):
+        module = importlib.import_module("permclass." + info.name)
+        found += [obj for obj in vars(module).values()
+                  if isinstance(obj, type) and issubclass(obj, Exception)
+                  and obj.__module__ == module.__name__]
+    return found
+
+
+# constructor arguments of the exceptions that take more than a message
+_EXCEPTION_ARGS = {"CliError": ("boom", 2), "PrimeBudgetError": (3,)}
+
+
+@pytest.mark.parametrize("error", _package_exceptions(),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_exception_has_a_documented_exit_code(
+        capsys, monkeypatch, error):
+    def raising(args):
+        raise error(*_EXCEPTION_ARGS.get(error.__name__, ("boom",)))
+    monkeypatch.setattr(cli, "cmd_count", raising)
+    code, out, err = run_cli(capsys, "count", "--class", "class_a",
+                             "--n", "3")
+    assert code in _exit_codes(cli.__doc__) - {0}
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_exit_codes_documented_once():

@@ -59,6 +59,22 @@ def test_contains_ending_at_last_consistent(p, pattern_text):
         assert contains(prefix, pattern)
 
 
+def test_contains_exhaustive():
+    """Every host of length <= 7 against every pattern of length <= 4,
+    longer than the host too: an occurrence is a choice of positions."""
+    patterns = [Perm(q) for k in range(5)
+                for q in itertools.permutations(range(1, k + 1))]
+    for n in range(8):
+        for entries in itertools.permutations(range(1, n + 1)):
+            host = Perm(entries)
+            occurring = {reference.standardize(sub)
+                         for k in range(min(n, 4) + 1)
+                         for sub in itertools.combinations(entries, k)}
+            for pattern in patterns:
+                assert contains(host, pattern) == (pattern in occurring), \
+                    (host, pattern)
+
+
 def test_contains_ending_at_last_exhaustive():
     """Every host of length <= 7 against every pattern of length <= 4,
     the bases' included: an occurrence ending at the last entry is a
