@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import class_b
 from .polynomials import MultivariatePolynomial, newton_series_root, resultant
 from .series import UnivariateSeries, tpoly_value
 
@@ -108,10 +107,11 @@ def guess_min_poly(series: UnivariateSeries, dy: int,
 
 def _nullspace_vector(powers: list[UnivariateSeries], dy: int, dz: int,
                       rows: int):
-    """The first kernel vector of the annihilation system, as a
-    canonical polynomial, or None.  Unknown (i, j) multiplies z^j y^i;
-    the columns run y-degree major, so the first kernel vector has
-    minimal y-degree and then minimal z-degree."""
+    """(poly, deg_z, deg_y): the first kernel vector of the
+    annihilation system as a canonical polynomial and its degrees, or
+    None.  Unknown (i, j) multiplies z^j y^i; the columns run y-degree
+    major, so the first kernel vector has minimal y-degree and then
+    minimal z-degree."""
     cols = [(i, j) for i in range(dy + 1) for j in range(dz + 1)]
     matrix = []
     for n in range(rows):
@@ -121,15 +121,9 @@ def _nullspace_vector(powers: list[UnivariateSeries], dy: int, dz: int,
     vec = _kernel_vector(matrix, len(cols))
     if vec is None:
         return None
-    terms = {}
-    ady = adz = 0
-    for (i, j), c in zip(cols, vec):
-        if c:
-            terms[(j, i)] = c
-            ady = max(ady, i)
-            adz = max(adz, j)
-    poly = MultivariatePolynomial(("z", "y"), terms).primitive()
-    return poly, adz, ady
+    poly = MultivariatePolynomial(
+        ("z", "y"), {(j, i): c for (i, j), c in zip(cols, vec)}).primitive()
+    return poly, poly.degree("z"), poly.degree("y")
 
 
 def _kernel_vector(matrix: list[list[int]], ncols: int) -> list[int] | None:
@@ -258,8 +252,8 @@ def _residual_order(value, order: int) -> int:
 # ---------------------------------------------------------------------
 
 _KVARS = ("y0", "y1", "y2", "y3", "z", "t")
-# correspondence: y0=f(z,t), y1=f(z,1), y2=f_t(z,1), y3=f(z,1/(1-z)),
-# and (z, t) play the roles of x0, x1.
+# y0=f(z,t), y1=f(z,1), y2=f_t(z,1), y3=f(z,1/(1-z)), and (z, t) play
+# the roles of x0, x1; kernel_root_check builds y1..y3 from f.
 
 
 @dataclass(frozen=True)
@@ -352,33 +346,31 @@ def kernel_extract() -> KernelDecomposition:
         k = k.coefficient_in(name, 0)
     cofactor = k.exact_div(kernel_poly())  # raises if transcription wrong
     r = p - k.lift(_KVARS) * y0
-    if r.degree("y0") > 0:
-        raise ArithmeticError("remainder still involves y0")
-    if k.lift(_KVARS) * y0 + r != p:   # kernel_root_check relies on it
-        raise ArithmeticError("P is not K*y0 + R")
     return KernelDecomposition(P=p, K=k, R=r, cofactor=cofactor)
 
 
-def kernel_root_check(n_max: int, state: "class_b.ClassBState") -> dict:
+def kernel_root_check(n_max: int, state) -> dict:
     """Compute the kernel root t1(z) and verify the annihilations the
-    kernel method rests on.  Returns a report dict with the four
+    kernel method rests on.  ``state`` is a class-B state, read through
+    ``.f`` (f(z,t)) and ``.order``.  Returns a report dict with the four
     residual orders (as verify_annihilation gives them, of m1, K, R and
-    P at one assignment: t = t1, y0 = f(z, t1) and y1..y3 the class-B
-    auxiliary series), each of which exceeds n_max when its check
-    passes, and the cofactor of the kernel decomposition.  P's value is
-    K's times y0 plus R's.
+    P at one assignment: t = t1, y0 = f(z, t1) and y1..y3 the
+    specializations f(z,1), f_t(z,1) and f(z,1/(1-z)), built here),
+    each of which exceeds n_max when its check passes, and the cofactor
+    of the kernel decomposition.
     """
     if state.order < n_max:
         raise ValueError("state order below requested check order")
     t1 = newton_series_root(m1_poly(), Fraction(1), n_max)
     decomp = kernel_extract()
-    f1, ft1, frecip = class_b.auxiliary_series(state)
-    at = {"y0": state.f.subst_t(t1), "y1": f1, "y2": ft1, "y3": frecip,
+    f = state.f
+    at = {"y0": f.subst_t(t1), "y1": f.subst_t(1), "y2": f.deriv_t_at_1(),
+          "y3": f.subst_t(UnivariateSeries.geometric(1, state.order)),
           "z": UnivariateSeries.z(n_max), "t": t1}
     k_at = _evaluate(decomp.K, at, n_max)
     r_at = _evaluate(decomp.R, at, n_max)
-    # P = K*y0 + R, checked by kernel_extract, so P's value at the
-    # assignment follows from the two values already formed
+    # R is P - K*y0 by construction, so P's value at the assignment is
+    # K's times y0 plus R's
     p_at = k_at * _truncated(at["y0"], n_max) + r_at
     return {
         "m1_residual_order": verify_annihilation(m1_poly(), at, n_max),

@@ -31,10 +31,11 @@ the order asked for (the iteration stays online in the sense of van
 der Hoeven, "Relax, but don't be too lazy", JSC 2002).  Row n of the
 product is one dot product of length n+1 at each of its points (n+2
 are needed, n+3 when they end a pair), brought back to coefficients in
-O(n^2) by ``series.tpoly_interpolate``.  The new row of (f-1)/z is not
-evaluated from its coefficients: at t = x the second equation is the
-recurrence f_s = fskew_s + (1+x) f_{s-1} - x f_{s-2}, so it costs one
-product by x per point, from the dot product just taken.  Only W's new
+O(n^2) by ``series.tpoly_interpolate``.  The second equation, cleared
+as (1-z)(1-tz) f = 1 - z + fskew, is the recurrence
+f_s = fskew_s + (1+t) f_{s-1} - t f_{s-2} (s >= 2, f_1 = t); it gives
+f's new row both in coefficients and in values, the latter at one
+product by x per point from the dot product just taken.  Only W's new
 row, and every row at a new pair of points, are evaluated from
 coefficients, by one even/odd Horner pass per pair,
 p(+-x) = E(x^2) +- x O(x^2).  Each of these steps is O(n^2) per row, so
@@ -43,17 +44,15 @@ would cost about N^4/24.  The values are longer numbers than the
 coefficients: row n's points have |x| <= (n+2)/2, so its value is at
 most ((n+2)/2)^(n+1) times the sum of its coefficients, about
 (n+1) log2((n+2)/2) bits more, and n+1 bits fewer than at points
-0..n+1.  The Omega chain and the division by (1-z)(1-tz) stay in
-coefficients, at O(n^2) per row.
+0..n+1.  The Omega chain stays in coefficients, at O(n^2) per row.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
 
-from .series import (BivariateSeries, OnlineQuotient, UnivariateSeries,
-                     check_counting, tpoly_interpolate, tpoly_sum,
-                     tpoly_value_pair)
+from .series import (BivariateSeries, UnivariateSeries, check_counting,
+                     tpoly_interpolate, tpoly_sum, tpoly_value_pair)
 
 
 @dataclass(frozen=True)
@@ -91,18 +90,17 @@ def iterate(n_max: int) -> ClassAState:
     row product that needs rows below s of f and rows below s-1 of W;
     see ``_product_row``, which also returns the row's values at the
     points -k..k.  Row m of W = f1 + G/(1-z) is row m of f1 = f(z,1)
-    plus the sum of rows 0..m of G.  Row s of f then follows from row
-    s of fskew.
+    plus the sum of rows 0..m of G.
 
-    The values of fz's new row, f_s, follow from those of fskew's: at
-    t = x the second equation reads (1-z)(1-xz) f = 1 - z + fskew, so
+    Row s of f, which is fz's new row, follows from row s of fskew by
+    the second equation, (1-z)(1-tz) f = 1 - z + fskew:
 
-        f_s(x) = fskew_s(x) + (1+x) f_{s-1}(x) - x f_{s-2}(x),  s >= 2,
+        f_s = fskew_s + (1+t) f_{s-1} - t f_{s-2},  s >= 2,
 
-    with f_0 = 1 and f_1 = t: one product by x per point.  Only W's
-    new row is evaluated at every point, by ``tpoly_value_pair`` (one
-    pass per pair +-x).  Row s costs about s^2 value products and
-    O(s^2) other work.
+    with f_0 = 1 and f_1 = t, in coefficients and, at t = x, in values:
+    one product by x per point.  Only W's new row is evaluated at every
+    point, by ``tpoly_value_pair`` (one pass per pair +-x).  Row s costs
+    about s^2 value products and O(s^2) other work.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -116,15 +114,16 @@ def iterate(n_max: int) -> ClassAState:
     g_sum = [0]         # the sum of the rows of G so far
     w = [[1]]           # rows of W
     fz_at, w_at = [], []   # per point x = -k..k: fz_at[x+k][i] = fz_i(x)
-    quot = OnlineQuotient([1], [0, 1])   # fskew / ((1-z)(1-tz))
-    quot.push(fskew[0])
     for s in range(1, n_max + 1):
         if s >= 2:
             row, values = _product_row(fz, w, fz_at, w_at)
+            # f_s by the recurrence, in coefficients
+            f.append(tpoly_sum(row, f[-1], [0] + f[-1],
+                               [0] + [-x for x in f[-2]]))
         else:
             row, values = [0], []
+            f.append([0, 1])
         fskew.append(row)
-        f.append(tpoly_sum(quot.push(row), [0] * s + [1]))
         f1.append(sum(f[s]))
         fz.append(f[s])
         g_sum = tpoly_sum(g_sum, _omega_chain_row(row, f1, h))
@@ -148,20 +147,17 @@ def _product_row(fz: list, w: list, fz_at: list, w_at: list) -> tuple:
     """Row n = len(fz) - 1 of fz W, sum_i fz_i W_{n-i}, and its values
     at the points -k..k.
 
-    Its t-degree is below max_i (len(fz_i) + len(W_{n-i})) - 1, the
-    number of points it needs; ``fz_at`` and ``w_at`` (per point -k..k,
-    the values of the rows of fz and of W) gain the points missing, 0
-    first and then pairs -x, x (see ``_add_points``).  At each point
-    the row's value is one dot product, and ``tpoly_interpolate`` turns
-    the values back into coefficients.
-
-    Row n has t-degree at most n+1, as fz_i has at most i+1 and W_m at
-    most m, so it needs at most n+2 points and k <= (n+2)/2: a value is
-    at most k^(n+1) times the sum of the row's coefficients.
+    Row n has t-degree at most n+1, as fz_i = f_{i+1} has t-degree
+    i+1 (by the recurrence in ``iterate``) and W_m at most m, so n+2
+    points determine it and k <= (n+2)/2: a value is at most k^(n+1)
+    times the sum of the row's coefficients.  ``fz_at`` and ``w_at``
+    (per point -k..k, the values of the rows of fz and of W) gain the
+    points missing, 0 first and then pairs -x, x (see ``_add_points``).
+    At each point the row's value is one dot product, and
+    ``tpoly_interpolate`` turns the values back into coefficients.
     """
     n = len(fz) - 1
-    points = max(len(fz[i]) + len(w[n - i]) for i in range(n + 1)) - 1
-    while len(fz_at) < points:
+    while len(fz_at) < n + 2:
         _add_points(fz, fz_at)
         _add_points(w, w_at)
     values = [sum(map(mul, a, reversed(b[:n + 1])))

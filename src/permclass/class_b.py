@@ -204,14 +204,3 @@ def counts(state: ClassBState) -> list[int]:
     [1, 1, 2, 6, 22, 89, 381]
     """
     return [int(x) for x in state.f.subst_t(1).c]
-
-
-def auxiliary_series(state: ClassBState
-                     ) -> tuple[UnivariateSeries, UnivariateSeries,
-                                UnivariateSeries]:
-    """(f(z,1), f_t(z,1), f(z,1/(1-z))): the specializations appearing
-    in the kernel relation."""
-    f1 = state.f.subst_t(1)
-    ft1 = state.f.deriv_t_at_1()
-    frecip = state.f.subst_t(UnivariateSeries.geometric(1, state.order))
-    return f1, ft1, frecip

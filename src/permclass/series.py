@@ -160,7 +160,7 @@ class UnivariateSeries(_Series):
         out = [inv0]
         for n in range(1, self.order + 1):
             s = 0
-            for k in range(1, min(n, len(self.c) - 1) + 1):
+            for k in range(1, n + 1):
                 s += self.c[k] * out[n - k]
             out.append(-s * inv0)
         return UnivariateSeries(out, self.order)

@@ -102,7 +102,11 @@ def test_xi_lambda_minimum_order():
 
 
 def test_auxiliary_series(state_b60):
-    f1, ft1, frecip = class_b.auxiliary_series(state_b60)
+    """f(z,1), f_t(z,1) and f(z,1/(1-z)), the specializations that
+    kernel_root_check assigns to y1..y3."""
+    f = state_b60.f
+    f1, ft1 = f.subst_t(1), f.deriv_t_at_1()
+    frecip = f.subst_t(UnivariateSeries.geometric(1, state_b60.order))
     assert f1.c[0] == 1
     # the sole entry of the length-1 permutation is its minimum, which
     # the marked trailing run excludes

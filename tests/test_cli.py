@@ -644,6 +644,20 @@ def test_kernel_extraction_failure_exit_code(capsys, monkeypatch, error):
     assert err == "error: %s\n" % error
 
 
+def test_kernel_transcription_error_exits_6(capsys, monkeypatch):
+    """With one coefficient of m2 changed, K is no longer divisible by
+    the displayed factored form: the cofactor division fails, and
+    kernel-check exits 6 with one error line."""
+    m2 = algebraic.m2_poly
+    z, t = MultivariatePolynomial.variables("z", "t")
+    monkeypatch.setattr(algebraic, "m2_poly", lambda: m2() + t ** 4 * z ** 2)
+    with pytest.raises(NotDivisibleError):
+        algebraic.kernel_extract()
+    code, out, err = run_cli(capsys, "kernel-check", "--order", "10")
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err == "error: inexact polynomial division\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("guess", "--class", "class_a", "--terms", "40", "--dy", "3",
      "--dz", "4"),

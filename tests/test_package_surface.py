@@ -10,6 +10,9 @@ entered, or be named in ``ALLOWED`` with why it stays:
 - ``traced``: ``perfbench/tracing.py`` wraps it, so the benchmark
   needs the name;
 - ``traced-helper``: only traced names call it.
+
+The layers also stay apart: the series, polynomial, algebra and fixture
+modules import no engine, no oracle and no CLI.
 """
 import ast
 import contextlib
@@ -154,3 +157,31 @@ def test_every_package_function_runs_or_is_traced(tmp_path):
         "never entered but not allowed: %s; allowed but entered or gone: %s"
         % (sorted(never - set(ALLOWED)), sorted(set(ALLOWED) - never)))
     assert set(ALLOWED.values()) <= {"traced", "traced-helper"}
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that ``module`` imports from, relatively or
+    by the name ``permclass``."""
+    found = set()
+    for node in ast.walk(ast.parse((PACKAGE / (module + ".py")).read_text())):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            head = ("permclass." if node.level else "") + (node.module or "")
+            names = [head.rstrip(".") + "." + alias.name
+                     for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names
+                     if name.startswith("permclass."))
+    return found
+
+
+def test_algebra_layer_imports_no_engine():
+    """Series, polynomials, the algebra and the fixtures sit below the
+    engines: none of them imports class_a, class_b, the oracle or the
+    CLI."""
+    lower = ("series", "polynomials", "algebraic", "fixtures")
+    upper = {"class_a", "class_b", "oracle", "cli"}
+    assert {m: sorted(_package_imports(m) & upper) for m in lower} == {
+        m: [] for m in lower}
