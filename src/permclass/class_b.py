@@ -24,7 +24,8 @@ column sums behind Phi, Theta and Psi act within a row, and s and the
 Psi, Lambda and Xi prefactors have only linear denominators, which act
 as one-row recurrences.  Row n takes a fixed number of products of a
 row with a linear factor c(t), O(n) coefficient operations, so order N
-costs about N^2 in all: the iteration forms no bivariate product.
+costs about N^2 in all: the iteration forms no bivariate product.  Each
+quotient row is added to the row of f it feeds when made; none is kept.
 """
 from __future__ import annotations
 
@@ -137,7 +138,10 @@ def iterate(n_max: int) -> ClassBState:
 
     three one-row recurrences, each fed rows already made: O(n)
     coefficient operations for row n, nine products by a linear
-    factor in all.
+    factor in all.  The quotient rows made from row n of f are added
+    when they are made to the rows of f they belong to: n+1 (q1), n+2
+    (the Xi quotient), n+3 (q2) and n+4 (p).  So only the pending terms
+    of the next four rows are kept, and no quotient keeps its history.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -147,27 +151,24 @@ def iterate(n_max: int) -> ClassBState:
     q1 = OnlineQuotient([0, 1])
     q2 = OnlineQuotient([2], [0, 1])
     p = OnlineQuotient([1], [1], [0, 1], [1, 1])
-    f = []
     lam = OnlineQuotient([2])     # Theta[f] / (1-2z) = Lambda[f] / z
     xi = OnlineQuotient([0, 1])   # sum_i t^i H_i / (1-tz) = Xi[...] / (tz)
     q = [0]                       # running z-sums of the H_i
-    xi.push([0])                  # row 0 of H: Lambda[f] starts at z^1
+    due = [[[1]], [], [], []]     # the terms of rows n .. n+3 of f
+    last = [0]                    # row n-1 of q1
+    f = []
     for n in range(n_max + 1):
-        if n == 0:
-            row = [1]
-        else:
-            row = tpoly_sum(q1.rows[n - 1],
-                            ([0] + q2.rows[n - 3]) if n >= 3 else [0],
-                            ([0, 0] + p.rows[n - 4]) if n >= 4 else [0],
-                            [0] + xi.rows[n - 1])
+        row = tpoly_sum(*due.pop(0))
+        due.append([])            # now rows n+1 .. n+4
         f.append(row)
         a = _suffix_sums_row(row)               # row n of A
-        q2.push(q1.push(a))
         b = _suffix_sums_row(a[1:])             # row n of B
-        p.push(tpoly_sum(q1.rows[n - 1], b) if n else b)
+        due[3].append([0, 0] + p.push(tpoly_sum(last, b)))
+        last = q1.push(a)
+        due[0].append(last)
+        due[2].append([0] + q2.push(last))
         # row n of Theta[f] gives row n+1 of Lambda[f], hence of H
-        theta = [0] + a[1:]
-        xi.push(_xi_chain_row(lam.push(theta), q))
+        due[1].append([0] + xi.push(_xi_chain_row(lam.push([0] + a[1:]), q)))
     state = ClassBState(order=n_max, f=BivariateSeries(f, n_max))
     check_counting(state.f)
     return state

@@ -49,7 +49,6 @@ class CountReport:
     of length-n avoiders with statistic value k.
     """
 
-    basis: Basis
     counts: list[int]
     distributions: dict[str, list[list[int]]] = field(default_factory=dict)
 
@@ -201,7 +200,7 @@ def enumerate_avoiders(b: Basis, n_max: int,
     [1, 1, 2, 6, 22]
     """
     counts, _rows = _walk(b, n_max, node_budget)
-    return CountReport(basis=b, counts=counts)
+    return CountReport(counts=counts)
 
 
 def statistic_distribution(b: Basis, n_max: int, stat: str,
@@ -214,4 +213,4 @@ def statistic_distribution(b: Basis, n_max: int, stat: str,
     counts, rows = _walk(b, n_max, node_budget, STATISTICS[stat])
     if stat == "gap_count":
         rows[0][0] = 0  # gap count is undefined on the empty permutation
-    return CountReport(basis=b, counts=counts, distributions={stat: rows})
+    return CountReport(counts=counts, distributions={stat: rows})

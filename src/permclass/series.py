@@ -292,25 +292,24 @@ class OnlineQuotient:
 
     Dividing by 1 - c(t) z is the recurrence out_n = w_n + c(t) out_{n-1},
     so each row costs one short t-polynomial product per factor, where a
-    product with the expanded prefactor would cost n of them.
+    product with the expanded prefactor would cost n of them.  Only the
+    last row of each factor's recurrence is kept; a caller that needs a
+    quotient row later keeps it itself.
     """
 
-    __slots__ = ("factors", "rows", "_last")
+    __slots__ = ("factors", "_last")
 
     def __init__(self, *factors: Sequence[Coeff]):
         self.factors = [list(c) for c in factors]
         self._last = [[0] for _ in self.factors]
-        self.rows: list[list] = []
 
     def push(self, row: Sequence[Coeff]) -> list:
-        """Take row n of w; return row n of the quotient (also kept in
-        ``rows``)."""
+        """Take row n of w; return row n of the quotient."""
         for k, c in enumerate(self.factors):
             last = self._last[k]
             acc = list(row) + [0] * (len(c) + len(last) - 1 - len(row))
             _kernels.tpoly_mul_acc(acc, c, last)
             row = self._last[k] = _tpoly_trim(acc)
-        self.rows.append(row)
         return row
 
 

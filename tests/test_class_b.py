@@ -1,3 +1,7 @@
+import hashlib
+import sys
+import tracemalloc
+
 from permclass import class_b, oracle, perms
 from permclass.series import BivariateSeries, UnivariateSeries
 
@@ -14,6 +18,31 @@ def test_counts_match_fe_golden_40(state_b60):
     got = "".join("%d\t%d\n" % (n, c)
                   for n, c in enumerate(class_b.counts(state_b60)[:41]))
     assert got == golden_text("class_b_fe_counts_40.tsv")
+
+
+def test_rows_to_200_are_pinned():
+    """Every coefficient of f to order 200, past the order-60 residual
+    check: the sha256 of the rows, one a line with space-separated
+    coefficients, as computed at commit 763e4d6."""
+    text = "".join(" ".join(map(str, row)) + "\n"
+                   for row in class_b.iterate(200).f.c)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "af917338844467f8936fadc4bf00c0edf28666c623358957f412bdac3b645a87")
+
+
+def test_iteration_keeps_no_quotient_history():
+    """The iteration's peak allocation stays within a small multiple of
+    f's own coefficients: the quotient rows are added to f's rows as
+    they are made, not kept (keeping them reads about 7.7 at order
+    200, against about 1.7 without)."""
+    tracemalloc.start()
+    try:
+        f = class_b.iterate(200).f
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = sum(sys.getsizeof(x) for row in f.c for x in row)
+    assert peak < 3 * size
 
 
 def test_counts_match_oracle_golden(state_b60):
