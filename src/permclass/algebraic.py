@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .polynomials import MultivariatePolynomial, newton_series_root, resultant
 from .series import UnivariateSeries, tpoly_value
@@ -364,9 +365,12 @@ def kernel_root_check(n_max: int, state) -> dict:
     t1 = newton_series_root(m1_poly(), Fraction(1), n_max)
     decomp = kernel_extract()
     f = state.f
+    *cols, y3 = [col.c for col in f.columns()]
+    for col in reversed(cols):  # Horner; times 1/(1-z) is a running sum
+        y3 = [s + x for s, x in zip(accumulate(y3), col)]
     at = {"y0": f.subst_t(t1), "y1": f.subst_t(1), "y2": f.deriv_t_at_1(),
-          "y3": f.subst_t(UnivariateSeries.geometric(1, state.order)),
-          "z": UnivariateSeries.z(n_max), "t": t1}
+          "y3": UnivariateSeries(y3, f.order), "z": UnivariateSeries.z(n_max),
+          "t": t1}
     k_at = _evaluate(decomp.K, at, n_max)
     r_at = _evaluate(decomp.R, at, n_max)
     # R is P - K*y0 by construction, so P's value at the assignment is

@@ -3,7 +3,7 @@
 Subcommands: count, distribution, guess, verify, growth, kernel-check.
 Output formats: text (default), json (schema permclass/1), and csv for
 the tables of count and distribution.  All output is deterministic for
-a given invocation.
+a given invocation.  Each main call builds only its subcommand's parser.
 
 Exit codes: 0 success; 2 usage, parse or out-of-range input error;
 3 oracle/functional-equation mismatch; 4 node budget exhausted;
@@ -246,70 +246,80 @@ def cmd_kernel_check(args) -> int:
     return 0 if ok else EXIT_VERIFY_FAILED
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="permclass",
-        description="Exact enumeration and algebra for Av(2413,3412) "
-                    "and Av(1432,2143)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_class=True, formats=("text", "json")):
-        p.add_argument("--format", choices=formats, default="text")
-        if with_class:
-            p.add_argument("--class", dest="class_id", required=True,
-                           choices=sorted(_CLASSES))
-
-    p = sub.add_parser("count", help="counting sequence")
-    common(p, formats=("text", "json", "csv"))
+def _count_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", default="both",
                    choices=("oracle", "functional_equation", "both"))
     p.add_argument("--node-budget", type=int, default=None)
-    p.set_defaults(func=cmd_count)
 
-    p = sub.add_parser("distribution", help="statistic distribution (oracle)")
-    common(p, formats=("text", "json", "csv"))
+
+def _distribution_args(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--stat", choices=sorted(oracle.STATISTICS), default=None)
     p.add_argument("--node-budget", type=int, default=None)
-    p.set_defaults(func=cmd_distribution)
 
-    p = sub.add_parser("guess", help="conjecture a minimal polynomial")
-    common(p)
+
+def _guess_args(p) -> None:
     p.add_argument("--terms", type=int, required=True)
     p.add_argument("--dy", type=int, required=True)
     p.add_argument("--dz", type=int, required=True)
-    p.add_argument("--series", default="f1",
-                   choices=("f1", "fskew_at_f1"))
-    p.set_defaults(func=cmd_guess)
+    p.add_argument("--series", default="f1", choices=("f1", "fskew_at_f1"))
 
-    p = sub.add_parser("verify", help="check a polynomial annihilates "
-                                      "a computed series")
-    common(p)
+
+def _verify_args(p) -> None:
     p.add_argument("--order", type=int, required=True)
     p.add_argument("--series", default="f1", choices=("f1", "fskew_at_f1"))
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--poly", help="polynomial file (vars: header + "
                                     "coef:monomial term list)")
     src.add_argument("--fixture", help="bundled fixture name")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("growth", help="growth-rate report")
-    common(p)
-    p.add_argument("--terms", type=int, default=60)
-    p.set_defaults(func=cmd_growth)
 
-    p = sub.add_parser("kernel-check", help="kernel extraction and root "
-                                            "annihilation checks")
-    common(p, with_class=False)
-    p.add_argument("--order", type=int, default=40)
-    p.set_defaults(func=cmd_kernel_check)
-
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of ``command`` alone if it is a subcommand, else all six."""
+    # name -> (help, formats, --class applies, argument adder, handler),
+    # built per call so that a handler replaced on the module is the one run
+    commands = {
+        "count": ("counting sequence", ("text", "json", "csv"), True,
+                  _count_args, cmd_count),
+        "distribution": ("statistic distribution (oracle)",
+                         ("text", "json", "csv"), True, _distribution_args,
+                         cmd_distribution),
+        "guess": ("conjecture a minimal polynomial", ("text", "json"), True,
+                  _guess_args, cmd_guess),
+        "verify": ("check a polynomial annihilates a computed series",
+                   ("text", "json"), True, _verify_args, cmd_verify),
+        "growth": ("growth-rate report", ("text", "json"), True,
+                   lambda p: p.add_argument("--terms", type=int, default=60),
+                   cmd_growth),
+        "kernel-check": (
+            "kernel extraction and root annihilation checks", ("text", "json"),
+            False, lambda p: p.add_argument("--order", type=int, default=40),
+            cmd_kernel_check),
+    }
+    parser = argparse.ArgumentParser(
+        prog="permclass",
+        description="Exact enumeration and algebra for Av(2413,3412) "
+                    "and Av(1432,2143)")
+    one = command in commands
+    sub = parser.add_subparsers(
+        dest="command", required=True,
+        metavar="{%s}" % ",".join(commands) if one else None)
+    for name in (command,) if one else commands:
+        help_, formats, with_class, add_args, func = commands[name]
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--format", choices=formats, default="text")
+        if with_class:
+            p.add_argument("--class", dest="class_id", required=True,
+                           choices=sorted(_CLASSES))
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except CliError as exc:

@@ -218,6 +218,25 @@ def test_kernel_root_check_small():
     assert report["p_residual_order"] > 20
 
 
+@pytest.mark.parametrize("order", [0, 1, 40, 120])
+def test_kernel_root_check_y3_is_f_at_one_over_one_minus_z(monkeypatch,
+                                                           order):
+    """The y3 that kernel_root_check assigns, built by running sums, is
+    f(z, 1/(1-z)) as subst_t gives it by full series products."""
+    state = class_b.iterate(order)
+    seen = []
+    evaluate = algebraic._evaluate
+
+    def spy(poly, assignment, n):
+        seen.append(assignment["y3"])
+        return evaluate(poly, assignment, n)
+
+    monkeypatch.setattr(algebraic, "_evaluate", spy)
+    algebraic.kernel_root_check(order, state)
+    want = state.f.subst_t(UnivariateSeries.geometric(1, order))
+    assert seen and all(y3 == want for y3 in seen)
+
+
 def test_growth_estimate_geometric():
     seq = [2 ** n for n in range(15)]
     assert algebraic.growth_estimate(seq) == (2.0, 2.0)

@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import pathlib
@@ -684,15 +685,80 @@ def _readme_commands():
 
 
 def test_readme_commands_parse():
-    """README's examples are valid command lines; none is run."""
+    """README's examples are valid command lines, both to the full parser
+    and to the one-subcommand parser main builds; none is run."""
     commands = _readme_commands()
     assert len(commands) >= 9
     parser = cli.build_parser()
     for line in commands:
+        argv = shlex.split(line)[1:]
         try:
-            parser.parse_args(shlex.split(line)[1:])
+            parser.parse_args(argv)
+            cli.build_parser(argv[0]).parse_args(argv)
         except SystemExit:
             pytest.fail("README command does not parse: %s" % line)
+
+
+SUBCOMMANDS = ("count", "distribution", "guess", "verify", "growth",
+               "kernel-check")
+
+
+def _main_outcome(capsys, argv):
+    """(exit code, stdout, stderr) of cli.main, argparse's exits
+    included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    *((name, "-h") for name in SUBCOMMANDS),
+    ("growth", "--class", "class_a", "extra"),
+    ("count", "--class", "class_a", "--n", "3", "--bogus"),
+    ("count", "--class", "class_a"),
+    ("verify", "--class", "class_a", "--order", "3"),
+    ("distribution", "--class", "class_a", "--n", "3", "--stat", "nope"),
+    ("guess", "--class", "class_a", "--terms", "40", "--dy", "3", "--dz",
+     "4", "--format", "csv"),
+    ("count", "--class", "class_a", "--n", "3", "--me", "oracle"),
+    ("permute", "--n", "3"),
+    (),
+    ("-h",),
+    ("--format", "json", "count"),
+], ids=lambda argv: " ".join(argv) or "no arguments")
+def test_main_answers_as_the_full_parser(capsys, monkeypatch, argv):
+    """main parses with a parser of the named subcommand alone; its
+    output, errors and help included, is byte for byte that of the
+    parser of all six."""
+    monkeypatch.setenv("COLUMNS", "80")
+    got = _main_outcome(capsys, argv)
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+    assert got == _main_outcome(capsys, argv)
+
+
+@pytest.mark.parametrize("argv, built", [
+    *(((name, "-h"), [name]) for name in SUBCOMMANDS),
+    (("-h",), list(SUBCOMMANDS)),
+    (("permute",), list(SUBCOMMANDS)),
+], ids=[*SUBCOMMANDS, "help", "unknown"])
+def test_main_builds_only_the_named_subcommand(capsys, monkeypatch, argv,
+                                               built):
+    calls = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        calls.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    with pytest.raises(SystemExit):
+        cli.main(list(argv))
+    capsys.readouterr()
+    assert calls == built
 
 
 def _exit_codes(text):

@@ -38,6 +38,7 @@ ALLOWED = {
     "class_b.xi_apply": "traced",
     "series._Series.zero": "traced-helper",
     "series._Series.shift": "traced-helper",
+    "series.UnivariateSeries.geometric": "traced-helper",
     "series.BivariateSeries.geometric_tz": "traced-helper",
     "series.BivariateSeries.from_univariate": "traced-helper",
     "series.BivariateSeries.from_columns": "traced-helper",
