@@ -332,19 +332,15 @@ def kernel_extract() -> KernelDecomposition:
     lcd = {name: max(den.get(name, 0) for _, den in terms)
            for name in factors}
     p = MultivariatePolynomial.zero(_KVARS)
-    for num, den in terms:
-        for name, e in lcd.items():
-            num = num * factors[name] ** (e - den.get(name, 0))
-        p = p + num
+    for num, den in terms:  # one product of num with its y-free multiplier
+        p = p + num * math.prod(factors[name] ** (e - den.get(name, 0))
+                                for name, e in lcd.items())
     p = p.primitive()
-    for name in ("y0", "y1", "y2", "y3"):
-        if p.degree(name) != 1:
-            raise ArithmeticError("P is not linear in %s" % name)
-    k = p.coefficient_in("y0", 1)
-    for name in ("y1", "y2", "y3"):
-        if k.degree(name) > 0:
-            raise ArithmeticError("y0-coefficient involves %s" % name)
-        k = k.coefficient_in(name, 0)
+    if (any(sum(e[:4]) > 1 for e in p.terms)
+            or not all(any(e[i] for e in p.terms) for i in range(4))):
+        raise ArithmeticError("P is not linear in y0..y3")
+    k = MultivariatePolynomial(_KVARS[4:], {e[4:]: c for e, c in
+                                            p.terms.items() if e[0]})
     cofactor = k.exact_div(kernel_poly())  # raises if transcription wrong
     r = p - k.lift(_KVARS) * y0
     return KernelDecomposition(P=p, K=k, R=r, cofactor=cofactor)

@@ -116,7 +116,7 @@ def cmd_distribution(args) -> int:
     rep = oracle.statistic_distribution(basis, args.n, stat,
                                         node_budget=args.node_budget)
     rows = [{"n": n, "k": k, "count": c}
-            for n, row in enumerate(rep.distributions[stat])
+            for n, row in enumerate(rep.rows)
             for k, c in enumerate(row) if c]
     _emit(args, {"command": "distribution", "class": class_id,
                  "statistic": stat, "rows": rows},

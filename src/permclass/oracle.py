@@ -15,18 +15,19 @@ statistic when a statistic is tabulated.  The subtree below an avoider
 depends only on its key, so a length is held as a dict from key to
 multiplicity, each key expanded once.  The two bases of interest are
 the only ones with such a label.  Every length is tallied from the
-keys one length below by the rank class of the appended slot, each
-statistic rule evaluated once per class, so the last length is counted
-without being built, and the one before it is formed from its
-children's numbers of free slots, not their labels.  Memory grows with
-the distinct keys of one length, not with the counts: at n_max = 10,
-length 8 has 248 keys for class A and 74 for class B for plain counts,
-and 545 and 163 with the statistic of the functional equation.
+keys one length below by the rank class of the appended slot, a
+statistic rule asked once per key for all three classes, so the last
+length is counted without being built, and the one before it is
+formed from its children's numbers of free slots, not their labels.
+Memory grows with the distinct keys of one length, not with the
+counts: at n_max = 10, length 8 has 248 keys for class A and 74 for
+class B for plain counts, and 545 and 163 with the statistic of the
+functional equation.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from . import _kernels
@@ -43,14 +44,12 @@ class BudgetExceededError(RuntimeError):
 
 @dataclass
 class CountReport:
-    """Per-length counts, with optional per-statistic distributions.
-
-    distributions maps a statistic name to a matrix m[n][k]: the number
-    of length-n avoiders with statistic value k.
-    """
+    """Per-length counts and their rows: rows[n][k] is the number of
+    length-n avoiders with statistic value k (all in column 0 when no
+    statistic is tabulated)."""
 
     counts: list[int]
-    distributions: dict[str, list[list[int]]] = field(default_factory=dict)
+    rows: list[list[int]]
 
 
 def default_budget() -> int:
@@ -64,44 +63,41 @@ def default_budget() -> int:
                          % (BUDGET_ENV_VAR, value)) from None
 
 
-# For each entry of STATISTICS: the statistic of the child p+v (p
-# relabelled) from the length n of p, the rank of its last entry among
-# its free slots, its statistic s and the rank of v.  Every step
-# depends on v only through v == 1 and v > last, which the ranks keep:
-# slot 1 is always free, and a free v exceeds last exactly when its
-# rank does.  The function of the same name in tests/reference.py
-# evaluates the statistic on a permutation; the tests check the rules
-# against it.
-# The empty permutation's last entry is taken as 1, so it has no ascent
-# and its one child, 1, extends its decreasing run.  Each step is
-# constant on each of the ranks {1}, {2..last} and {last+1..k}, which
-# lets the walk tally every length by class, one step per class.  Every
-# statistic is taken as 0 on the empty permutation (gap_count is
-# undefined there and its length-0 row is left empty).
-def _step_initial_decreasing_run(n: int, last: int, s: int, v: int) -> int:
-    return s + 1 if s == n and v <= last else s
+# For each entry of STATISTICS: from the length n of p and its
+# statistic s, the statistic of the child p+v (p relabelled) when the
+# rank of v among p's free slots is 1, in 2..last or in last+1..k, last
+# being the rank of p's last entry.  A statistic depends on v only
+# through v == 1 and v > last, which the ranks keep: slot 1 is always
+# free, and a free v exceeds last exactly when its rank does.  These
+# are the three classes the walk tallies every length by.  The function
+# of the same name in tests/reference.py evaluates the statistic on a
+# permutation; the tests check the rules against it.  The empty
+# permutation's last entry is taken as 1, so it has no ascent and its
+# one child, 1, extends its decreasing run.  Every statistic is taken
+# as 0 on the empty permutation (gap_count is undefined there and its
+# length-0 row is left empty).
+def _step_initial_decreasing_run(n: int, s: int) -> tuple[int, int, int]:
+    return (s + 1, s + 1, s) if s == n else (s, s, s)
 
 
-def _step_trailing_increasing_run(n: int, last: int, s: int, v: int) -> int:
-    return s + 1 if v > last else 1
+def _step_trailing_increasing_run(n: int, s: int) -> tuple[int, int, int]:
+    return 1, 1, s + 1
 
 
-def _step_gap_count(n: int, last: int, s: int, v: int) -> int:
-    return s + 1 if v > last else 2
+def _step_gap_count(n: int, s: int) -> tuple[int, int, int]:
+    return 2, 2, s + 1
 
 
-def _step_marked_trailing_run(n: int, last: int, s: int, v: int) -> int:
-    # v == 1 is the new minimum and is never marked
-    if v > last:
-        return s + 1
-    return 0 if v == 1 else 1
+def _step_marked_trailing_run(n: int, s: int) -> tuple[int, int, int]:
+    return 0, 1, s + 1  # the new minimum, rank 1, is never marked
 
 
-def _step_slice_count(n: int, last: int, s: int, v: int) -> int:
-    return s + (v == 1)
+def _step_slice_count(n: int, s: int) -> tuple[int, int, int]:
+    return s + 1, s, s
 
 
-STATISTICS: dict[str, Callable[[int, int, int, int], int]] = {
+Step = Callable[[int, int], tuple[int, int, int]]
+STATISTICS: dict[str, Step] = {
     "initial_decreasing_run": _step_initial_decreasing_run,
     "trailing_increasing_run": _step_trailing_increasing_run,
     "marked_trailing_run": _step_marked_trailing_run,
@@ -111,8 +107,7 @@ STATISTICS: dict[str, Callable[[int, int, int, int], int]] = {
 
 
 def _walk(basis: Basis, n_max: int, node_budget: int | None,
-          step: Callable[[int, int, int, int], int] | None = None
-          ) -> tuple[list[int], list[list[int]]]:
+          step: Step | None = None) -> tuple[list[int], list[list[int]]]:
     """Walk the generating tree of the avoiders of length <= n_max one
     length at a time.
 
@@ -128,14 +123,13 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
     with a ``step``.  The subtree below an avoider depends only on its
     key, so equal keys are merged and expanded once.  Every length is
     tallied from the keys one length below by the three classes of
-    rank, 1, 2..last and last+1..k, on which every step is constant:
-    the step is evaluated once per class, and each child, formed from
-    its parent's label and the rank a of its appended slot, takes the
-    value of a's class.  The children of length n_max are tallied but
-    not formed, and those of length n_max - 1, which are not expanded,
-    are keyed without a label: their numbers of free slots and last
-    ranks come from the size kernel of ``LABEL_TREES``, which forms no
-    label.
+    rank, 1, 2..last and last+1..k: the step, called once per key,
+    gives the statistic of each class, and each child, formed from its
+    parent's label and the rank a of its appended slot, takes the value
+    of a's class.  The children of length n_max are tallied but not
+    formed, and those of length n_max - 1, which are not expanded, are
+    keyed without a label: their numbers of free slots and last ranks
+    come from the size kernel of ``LABEL_TREES``, which forms no label.
 
     Before a length n is generated the budget is spent by the children
     it forms, k for every key of length n - 1, so when it runs out every
@@ -166,13 +160,7 @@ def _walk(basis: Basis, n_max: int, node_budget: int | None,
         grow = n < n_max - 1        # whether the children are expanded
         children: dict[tuple, int] = {}
         for (k, label, last, s), c in level.items():
-            t1 = t2 = t3 = 0
-            if step is not None:
-                t1 = step(n - 1, last, s, 1)
-                if last > 1:
-                    t2 = step(n - 1, last, s, 2)
-                if k > last:
-                    t3 = step(n - 1, last, s, last + 1)
+            t1, t2, t3 = step(n - 1, s) if step is not None else (0, 0, 0)
             row[t1] += c
             row[t2] += c * (last - 1)
             row[t3] += c * (k - last)
@@ -199,18 +187,17 @@ def enumerate_avoiders(b: Basis, n_max: int,
     >>> enumerate_avoiders(CLASS_A_BASIS, 4).counts
     [1, 1, 2, 6, 22]
     """
-    counts, _rows = _walk(b, n_max, node_budget)
-    return CountReport(counts=counts)
+    return CountReport(*_walk(b, n_max, node_budget))
 
 
 def statistic_distribution(b: Basis, n_max: int, stat: str,
                            node_budget: int | None = None) -> CountReport:
-    """Counts refined by a permutation statistic: matrix m[n][k] of
-    length-n avoiders with statistic value k."""
+    """Counts refined by a permutation statistic: rows[n][k] is the
+    number of length-n avoiders with statistic value k."""
     if stat not in STATISTICS:
         raise ValueError("unknown statistic %r (choose from %s)"
                          % (stat, ", ".join(sorted(STATISTICS))))
     counts, rows = _walk(b, n_max, node_budget, STATISTICS[stat])
     if stat == "gap_count":
         rows[0][0] = 0  # gap count is undefined on the empty permutation
-    return CountReport(counts=counts, distributions={stat: rows})
+    return CountReport(counts, rows)

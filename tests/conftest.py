@@ -90,5 +90,4 @@ def single_slice_report(n_max: int) -> oracle.CountReport:
         first=2)
     counts[0] = 0
     matrix = [[0]] + [row[:n + 1] for n, row in enumerate(rows) if n]
-    return oracle.CountReport(counts=counts,
-                              distributions={"marked_trailing_run": matrix})
+    return oracle.CountReport(counts, rows=matrix)

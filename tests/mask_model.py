@@ -152,8 +152,10 @@ def mask_walk(basis: Basis, n_max: int, step=None,
     """``permclass.oracle._walk`` on (mask, state) keys, without a
     budget: every avoider of length n < n_max is keyed by its mask,
     state, last entry and statistic, and each key has a child at each
-    of its free slots >= ``first`` (any for n = 0), its statistic from
-    the step given values, not ranks.  No length is tallied by class."""
+    of its free slots >= ``first`` (any for n = 0), its statistic the
+    step's entry for the class of its value, not its rank: 1, 2..last
+    or above last, last being p's last value.  No length is tallied by
+    class."""
     root, ext, child = GENERATING_TREES[basis]
     counts = [1] + [0] * n_max
     rows = [[0] * (n + 2) for n in range(n_max + 1)]
@@ -166,7 +168,8 @@ def mask_walk(basis: Basis, n_max: int, step=None,
             for v in range(lo, n + 1):
                 if mask >> v & 1:
                     continue
-                t = step(n - 1, last, s, v) if step is not None else 0
+                t = (step(n - 1, s)[(v > 1) + (v > last)]
+                     if step is not None else 0)
                 counts[n] += k
                 rows[n][t] += k
                 if n < n_max:

@@ -30,7 +30,7 @@ def test_criterion_03_bivariate_coefficients_match_oracle_to_n10(
         state_a60, state_b60, oracle_distributions_10):
     rep_a = oracle_distributions_10["class_a"]
     for n in range(11):
-        row = rep_a.distributions["initial_decreasing_run"][n]
+        row = rep_a.rows[n]
         for k in range(n + 1):
             assert coefficient(state_a60.f, n, k) == \
                 (row[k] if k < len(row) else 0)
@@ -38,7 +38,7 @@ def test_criterion_03_bivariate_coefficients_match_oracle_to_n10(
     # without its minimum entry (see notes on the slice recursion)
     rep_b = oracle_distributions_10["class_b"]
     for n in range(11):
-        row = rep_b.distributions["marked_trailing_run"][n]
+        row = rep_b.rows[n]
         for k in range(n + 1):
             assert coefficient(state_b60.f, n, k) == \
                 (row[k] if k < len(row) else 0)

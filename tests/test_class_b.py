@@ -73,7 +73,7 @@ def test_s_series_matches_single_slice_oracle():
     s = class_b.s_series(9)
     rep = single_slice_report(9)
     for n in range(1, 10):
-        row = rep.distributions["marked_trailing_run"][n]
+        row = rep.rows[n]
         for k in range(n + 1):
             assert coefficient(s, n, k) == (row[k] if k < len(row) else 0)
 
@@ -145,7 +145,7 @@ def test_auxiliary_series(state_b60):
     rep = oracle.statistic_distribution(perms.CLASS_B_BASIS, 6,
                                         "marked_trailing_run")
     for n in range(7):
-        row = rep.distributions["marked_trailing_run"][n]
+        row = rep.rows[n]
         assert ft1.c[n] == sum(k * c for k, c in enumerate(row))
 
 

@@ -632,7 +632,7 @@ def test_corrupted_fixture_exits_6_with_one_line(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("error", [
-    ArithmeticError("P is not linear in y3"),
+    ArithmeticError("P is not linear in y0..y3"),
     NotDivisibleError("inexact polynomial division"),
 ], ids=["arithmetic", "not_divisible"])
 def test_kernel_extraction_failure_exit_code(capsys, monkeypatch, error):
@@ -657,6 +657,22 @@ def test_kernel_transcription_error_exits_6(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "kernel-check", "--order", "10")
     assert (code, out) == (cli.EXIT_INCONSISTENT, "")
     assert err == "error: inexact polynomial division\n"
+
+
+def test_kernel_product_of_unknowns_exits_6(capsys, monkeypatch):
+    """With a y1*y2 term added to P, P is no longer linear in y0..y3:
+    kernel_extract raises, and kernel-check exits 6 with one error
+    line."""
+    _, y1, y2, *_ = MultivariatePolynomial.variables(*algebraic._KVARS)
+    primitive = MultivariatePolynomial.primitive
+    monkeypatch.setattr(MultivariatePolynomial, "primitive",
+                        lambda self: primitive(self) + y1 * y2)
+    with pytest.raises(ArithmeticError,
+                       match=r"^P is not linear in y0\.\.y3$"):
+        algebraic.kernel_extract()
+    code, out, err = run_cli(capsys, "kernel-check", "--order", "10")
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err == "error: P is not linear in y0..y3\n"
 
 
 @pytest.mark.parametrize("argv", [

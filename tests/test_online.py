@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from permclass import class_a, class_b
 
-from conftest import STATISTICS, coefficient
+from conftest import coefficient
 
 CLASSES = [class_a, class_b]
 
@@ -40,8 +40,7 @@ def test_bivariate_rows_match_oracle_distribution(
     avoiders of that length with that value of the tracked statistic;
     small n reach the rows before each recurrence starts."""
     name = mod.__name__.rpartition(".")[2]
-    oracle_rows = oracle_distributions_10[name].distributions[
-        STATISTICS[name]]
+    oracle_rows = oracle_distributions_10[name].rows
     f = mod.iterate(n).f
     for m in range(n + 1):
         width = max(len(f.c[m]), len(oracle_rows[m]))

@@ -68,7 +68,7 @@ def test_fe_rows_match_oracle_distribution_to_n12(name, request):
     f = request.getfixturevalue(FE[name][1]).f
     stat = STATISTICS[name]
     rep = oracle.statistic_distribution(BASES[name], 12, stat)
-    for n, row in enumerate(rep.distributions[stat]):
+    for n, row in enumerate(rep.rows):
         assert [coefficient(f, n, k) for k in range(len(row))] == row, n
 
 
@@ -77,17 +77,26 @@ def test_basis_without_scan_rejected():
         oracle.enumerate_avoiders(Basis([parse_perm("123")]), 7)
 
 
+@pytest.fixture(scope="module")
+def avoiders_to_7():
+    """Per basis, the avoiders of each length n <= 7, found by filtering
+    all permutations."""
+    return {basis: [reference.filter_all_avoiders(basis, n)
+                    for n in range(8)]
+            for basis in (CLASS_A_BASIS, CLASS_B_BASIS)}
+
+
 @pytest.mark.parametrize("basis", [CLASS_A_BASIS, CLASS_B_BASIS],
                          ids=["class_a", "class_b"])
-def test_every_statistic_matches_filtered_avoiders(basis):
+def test_every_statistic_matches_filtered_avoiders(basis, avoiders_to_7):
     """The distributions tallied during generation, each child's value
     updated from its parent's, equal the statistic evaluated on every
     avoider found by filtering all permutations."""
-    avoiders = [reference.filter_all_avoiders(basis, n) for n in range(8)]
+    avoiders = avoiders_to_7[basis]
     for stat in oracle.STATISTICS:
         fn = getattr(reference, stat)   # on whole permutations
         rep = oracle.statistic_distribution(basis, 7, stat)
-        for n, row in enumerate(rep.distributions[stat]):
+        for n, row in enumerate(rep.rows):
             want = [0] * len(row)
             if not (n == 0 and stat == "gap_count"):
                 for p in avoiders[n]:
@@ -98,7 +107,7 @@ def test_every_statistic_matches_filtered_avoiders(basis):
 def test_statistic_distribution_row_sums():
     rep = oracle.statistic_distribution(CLASS_A_BASIS, 7,
                                         "initial_decreasing_run")
-    for n, row in enumerate(rep.distributions["initial_decreasing_run"]):
+    for n, row in enumerate(rep.rows):
         assert sum(row) == rep.counts[n]
 
 
@@ -235,18 +244,25 @@ def test_full_labels_formed_below_n_max_minus_1(monkeypatch, basis, stat,
 
 
 @pytest.mark.parametrize("stat", sorted(oracle.STATISTICS))
-def test_step_constant_on_each_value_class(stat):
-    """Every length is tallied, and each child's statistic taken, from
-    one step per class of appended values 1, 2..last and last+1..n+1,
-    so every step must be constant on each (the empty parent's last
-    entry is taken as 1)."""
+def test_step_gives_each_child_its_statistic(stat, avoiders_to_7):
+    """For every avoider p of length n <= 6 of either basis and each
+    free child p+v (p relabelled), the rule's entry for the rank class
+    of v, 1, 2..last or above last, is the statistic of the child; s is
+    p's statistic (0 for the empty permutation) and last is p's last
+    entry (1 for the empty permutation)."""
     step = oracle.STATISTICS[stat]
-    for n in range(8):
-        for last in range(max(n, 1) + 1):
-            for s in range(n + 2):
-                for values in ([1], range(2, last + 1),
-                               range(max(last + 1, 2), n + 2)):
-                    assert len({step(n, last, s, v) for v in values}) <= 1
+    fn = getattr(reference, stat)   # on whole permutations
+    for avoiders in avoiders_to_7.values():
+        for n in range(7):
+            free = set(avoiders[n + 1])
+            for p in avoiders[n]:
+                s = fn(p) if n else 0
+                last = p[-1] if n else 1
+                for v in range(1, n + 2):
+                    child = Perm([x + (x >= v) for x in p] + [v])
+                    if child in free:
+                        assert fn(child) == \
+                            step(n, s)[(v > 1) + (v > last)], (p, v)
 
 
 def test_budget_env_override(monkeypatch):
@@ -266,8 +282,8 @@ def test_gap_count_is_trailing_run_plus_one():
     rep2 = oracle.statistic_distribution(CLASS_B_BASIS, 6,
                                          "trailing_increasing_run")
     for n in range(1, 7):
-        shifted = [0] + rep2.distributions["trailing_increasing_run"][n]
-        got = rep.distributions["gap_count"][n]
+        shifted = [0] + rep2.rows[n]
+        got = rep.rows[n]
         width = max(len(shifted), len(got))
         assert [x for x in got + [0] * (width - len(got))] == \
             [x for x in shifted + [0] * (width - len(shifted))]
