@@ -6,7 +6,8 @@ Four groups of tools:
   terms (the first kernel vector of the linear system in the
   coefficients, by elimination mod p, CRT, rational reconstruction and
   an exact check over Z);
-* verify that a polynomial annihilates given series to full order;
+* verify that a polynomial annihilates given series at the series'
+  own order;
 * extract the kernel of the slice recursion for Av(1432,2143): clear
   the functional equation over its common denominator, collect the
   linear coefficient of f(z,t), and factor out the kernel K(z,t) whose
@@ -221,31 +222,18 @@ def _reconstruct(residues: list[int], modulus: int) -> list[int] | None:
     return [f.numerator * (den // f.denominator) for f in fracs]
 
 
-def verify_annihilation(poly: MultivariatePolynomial, assignment: dict,
-                        order: int) -> int:
+def verify_annihilation(poly: MultivariatePolynomial, assignment: dict) -> int:
     """z-order of the first nonzero coefficient of poly evaluated at
-    the assignment (series and/or rationals), or order+1 when the
-    result vanishes through the truncation.  Verification at order N
-    passes iff the return value exceeds N."""
-    return _residual_order(_evaluate(poly, assignment, order), order)
-
-
-def _evaluate(poly: MultivariatePolynomial, assignment: dict, order: int):
-    """poly at the assignment, its series truncated to ``order``."""
-    return poly.eval({name: _truncated(assignment[name], order)
-                      for name in poly.vars})
-
-
-def _truncated(value, order: int):
-    if isinstance(value, UnivariateSeries):
-        return value.truncate(min(order, value.order))
-    return value
-
-
-def _residual_order(value, order: int) -> int:
-    if isinstance(value, UnivariateSeries):
-        return value.valuation()
-    return 0 if value else order + 1
+    the assignment (series and/or rationals), or N+1 when the value
+    vanishes through its truncation order N, the smallest order among
+    the series it is built from.  Verification at order N passes iff
+    the return value exceeds N.  Raises ValueError when the value is
+    not a series, as for a constant or the zero polynomial."""
+    value = poly.eval(assignment)
+    if not isinstance(value, UnivariateSeries):
+        raise ValueError("the polynomial's value is %r, not a series"
+                         % (value,))
+    return value.valuation()
 
 
 # ---------------------------------------------------------------------
@@ -346,39 +334,36 @@ def kernel_extract() -> KernelDecomposition:
     return KernelDecomposition(P=p, K=k, R=r, cofactor=cofactor)
 
 
-def kernel_root_check(n_max: int, state) -> dict:
+def kernel_root_check(state) -> tuple[dict, MultivariatePolynomial]:
     """Compute the kernel root t1(z) and verify the annihilations the
-    kernel method rests on.  ``state`` is a class-B state, read through
-    ``.f`` (f(z,t)) and ``.order``.  Returns a report dict with the four
-    residual orders (as verify_annihilation gives them, of m1, K, R and
-    P at one assignment: t = t1, y0 = f(z, t1) and y1..y3 the
-    specializations f(z,1), f_t(z,1) and f(z,1/(1-z)), built here),
-    each of which exceeds n_max when its check passes, and the cofactor
-    of the kernel decomposition.
+    kernel method rests on, at the order N of ``state``, a class-B
+    state read through ``.f`` (f(z,t)) and ``.order``.  Returns
+    (residuals, cofactor): the four residual orders (as
+    verify_annihilation gives them, of m1, K, R and P at one
+    assignment: t = t1, y0 = f(z, t1) and y1..y3 the specializations
+    f(z,1), f_t(z,1) and f(z,1/(1-z)), built here), keyed as
+    ``kernel-check`` reports them, each of which exceeds N when its
+    check passes, and the cofactor of the kernel decomposition.
     """
-    if state.order < n_max:
-        raise ValueError("state order below requested check order")
-    t1 = newton_series_root(m1_poly(), Fraction(1), n_max)
+    t1 = newton_series_root(m1_poly(), Fraction(1), state.order)
     decomp = kernel_extract()
     f = state.f
     *cols, y3 = [col.c for col in f.columns()]
     for col in reversed(cols):  # Horner; times 1/(1-z) is a running sum
         y3 = [s + x for s, x in zip(accumulate(y3), col)]
     at = {"y0": f.subst_t(t1), "y1": f.subst_t(1), "y2": f.deriv_t_at_1(),
-          "y3": UnivariateSeries(y3, f.order), "z": UnivariateSeries.z(n_max),
-          "t": t1}
-    k_at = _evaluate(decomp.K, at, n_max)
-    r_at = _evaluate(decomp.R, at, n_max)
+          "y3": UnivariateSeries(y3, f.order),
+          "z": UnivariateSeries.z(state.order), "t": t1}
+    k_at = decomp.K.eval(at)
+    r_at = decomp.R.eval(at)
     # R is P - K*y0 by construction, so P's value at the assignment is
     # K's times y0 plus R's
-    p_at = k_at * _truncated(at["y0"], n_max) + r_at
-    return {
-        "m1_residual_order": verify_annihilation(m1_poly(), at, n_max),
-        "kernel_residual_order": _residual_order(k_at, n_max),
-        "r_residual_order": _residual_order(r_at, n_max),
-        "p_residual_order": _residual_order(p_at, n_max),
-        "cofactor": decomp.cofactor,
-    }
+    p_at = k_at * at["y0"] + r_at
+    residuals = {"m1_residual_order": verify_annihilation(m1_poly(), at),
+                 "kernel_residual_order": k_at.valuation(),
+                 "r_residual_order": r_at.valuation(),
+                 "p_residual_order": p_at.valuation()}
+    return residuals, decomp.cofactor
 
 
 # ---------------------------------------------------------------------

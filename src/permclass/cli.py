@@ -133,8 +133,7 @@ def cmd_guess(args) -> int:
               ["no polynomial found"])
         return EXIT_NO_GUESS
     residual = algebraic.verify_annihilation(
-        guess.poly, {"z": UnivariateSeries.z(series.order), "y": series},
-        series.order)
+        guess.poly, {"z": UnivariateSeries.z(series.order), "y": series})
     _emit(args, {"command": "guess", "class": args.class_id,
                  "polynomial": guess.poly.serialize(),
                  "dy": guess.dy, "dz": guess.dz,
@@ -184,7 +183,7 @@ def cmd_verify(args) -> int:
     poly = _load_verify_poly(args)
     series = _series_for(args.class_id, args.series, args.order)
     residual = algebraic.verify_annihilation(
-        poly, {"z": UnivariateSeries.z(args.order), "y": series}, args.order)
+        poly, {"z": UnivariateSeries.z(args.order), "y": series})
     passed = residual > args.order
     _emit(args, {"command": "verify", "class": args.class_id,
                  "order": args.order, "residual_order": residual,
@@ -226,21 +225,17 @@ def cmd_growth(args) -> int:
 
 def cmd_kernel_check(args) -> int:
     state = class_b.iterate(args.order)
-    report = algebraic.kernel_root_check(args.order, state)
-    residuals = {key: report[key] for key in (
-        "m1_residual_order", "kernel_residual_order", "r_residual_order",
-        "p_residual_order")}
-    cofactor = report["cofactor"]
+    residuals, cofactor = algebraic.kernel_root_check(state)
     ok = (all(r > args.order for r in residuals.values())
           and cofactor.total_degree() == 0)
     payload = {"command": "kernel-check", "order": args.order,
                "cofactor": cofactor.serialize(),
                "status": "pass" if ok else "fail", **residuals}
     _emit(args, payload,
-          ["m1(z, t1) residual order: %d" % report["m1_residual_order"],
-           "K(z, t1) residual order: %d" % report["kernel_residual_order"],
-           "R residual order: %d" % report["r_residual_order"],
-           "P residual order: %d" % report["p_residual_order"],
+          ["m1(z, t1) residual order: %d" % residuals["m1_residual_order"],
+           "K(z, t1) residual order: %d" % residuals["kernel_residual_order"],
+           "R residual order: %d" % residuals["r_residual_order"],
+           "P residual order: %d" % residuals["p_residual_order"],
            "K cofactor: %s" % cofactor,
            "kernel check: %s" % ("PASS" if ok else "FAIL")])
     return 0 if ok else EXIT_VERIFY_FAILED

@@ -1,6 +1,6 @@
 import hashlib
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, isqrt, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -55,7 +55,7 @@ def test_guess_verify_round_trip(state_a60):
     f1 = state_a60.f.subst_t(1).truncate(40)
     guess = algebraic.guess_min_poly(f1, 3, 4)
     residual = algebraic.verify_annihilation(
-        guess.poly, {"z": UnivariateSeries.z(40), "y": f1}, 40)
+        guess.poly, {"z": UnivariateSeries.z(40), "y": f1})
     assert residual > 40
 
 
@@ -158,12 +158,36 @@ def test_verify_annihilation_mutation_detected(state_a60):
     f1 = state_a60.f.subst_t(1).truncate(40)
     eq5 = fixtures.eq5_min_poly()
     assign = {"z": UnivariateSeries.z(40), "y": f1}
-    assert algebraic.verify_annihilation(eq5, assign, 40) == 41
+    assert algebraic.verify_annihilation(eq5, assign) == 41
     for expo in list(eq5.terms)[:4]:
         terms = dict(eq5.terms)
         terms[expo] += 1
         mutated = MultivariatePolynomial(eq5.vars, terms)
-        assert algebraic.verify_annihilation(mutated, assign, 40) <= 10
+        assert algebraic.verify_annihilation(mutated, assign) <= 10
+
+
+@pytest.mark.parametrize("coeff", [0, 3])
+def test_verify_annihilation_rejects_values_that_are_not_series(coeff):
+    """A constant polynomial, or the zero polynomial, evaluates to a
+    number with no truncation order to check against."""
+    poly = MultivariatePolynomial(("z", "y"), {(0, 0): coeff})
+    assign = {"z": UnivariateSeries.z(5), "y": UnivariateSeries([1], 5)}
+    with pytest.raises(ValueError, match="is %d, not a series" % coeff):
+        algebraic.verify_annihilation(poly, assign)
+
+
+def test_reconstruct_without_small_lift_is_none():
+    """Just above sqrt(p/2), a residue is no r/s with |r|, |s| within
+    that bound, so the vector has no reconstruction."""
+    p = algebraic._PRIMES[0]
+    assert algebraic._reconstruct([1, isqrt(p // 2) + 1], p) is None
+
+
+def test_z_coeffs_rejects_two_variables():
+    z, y = MultivariatePolynomial.variables("z", "y")
+    with pytest.raises(ValueError, match="^expected a polynomial in one "
+                                         "variable, got z, y$"):
+        algebraic._z_coeffs(z * y + 1)
 
 
 def test_kernel_decomposition_identity():
@@ -211,11 +235,11 @@ def test_m1_root_at_origin():
 
 def test_kernel_root_check_small():
     st = class_b.iterate(20)
-    report = algebraic.kernel_root_check(20, st)
-    assert report["m1_residual_order"] > 20
-    assert report["kernel_residual_order"] > 20
-    assert report["r_residual_order"] > 20
-    assert report["p_residual_order"] > 20
+    residuals, _ = algebraic.kernel_root_check(st)
+    assert residuals["m1_residual_order"] > 20
+    assert residuals["kernel_residual_order"] > 20
+    assert residuals["r_residual_order"] > 20
+    assert residuals["p_residual_order"] > 20
 
 
 @pytest.mark.parametrize("order", [0, 1, 40, 120])
@@ -225,14 +249,15 @@ def test_kernel_root_check_y3_is_f_at_one_over_one_minus_z(monkeypatch,
     f(z, 1/(1-z)) as subst_t gives it by full series products."""
     state = class_b.iterate(order)
     seen = []
-    evaluate = algebraic._evaluate
+    evaluate = MultivariatePolynomial.eval
 
-    def spy(poly, assignment, n):
-        seen.append(assignment["y3"])
-        return evaluate(poly, assignment, n)
+    def spy(poly, assignment):
+        if "y3" in assignment:
+            seen.append(assignment["y3"])
+        return evaluate(poly, assignment)
 
-    monkeypatch.setattr(algebraic, "_evaluate", spy)
-    algebraic.kernel_root_check(order, state)
+    monkeypatch.setattr(MultivariatePolynomial, "eval", spy)
+    algebraic.kernel_root_check(state)
     want = state.f.subst_t(UnivariateSeries.geometric(1, order))
     assert seen and all(y3 == want for y3 in seen)
 

@@ -335,7 +335,7 @@ def test_degree8_check_is_horner_in_y(series_products):
     poly = fixtures.degree8_min_poly()
     del series_products[:]
     assert algebraic.verify_annihilation(
-        poly, {"z": UnivariateSeries.z(200), "y": f1}, 200) == 201
+        poly, {"z": UnivariateSeries.z(200), "y": f1}) == 201
     dense = sum(1 for a, b, _ in series_products
                 if sum(map(bool, a)) >= 2 and sum(map(bool, b)) >= 2)
     assert dense <= poly.degree("y") == 8
@@ -352,3 +352,24 @@ def test_kernel_check_40_coefficient_products(series_products, capsys):
         work += sum(1 for i, x in enumerate(a) if x
                     for j in nonzero_b if i + j <= order)
     assert work <= 80000
+
+
+def test_constructor_rejects_wrong_arity_and_non_integers():
+    with pytest.raises(ValueError, match="^exponent arity mismatch$"):
+        MultivariatePolynomial(("z",), {(1, 2): 1})
+    with pytest.raises(ValueError, match="^coefficients must be integers$"):
+        MultivariatePolynomial(("z",), {(1,): Fraction(1, 2)})
+
+
+def test_exact_div_by_zero_rejected():
+    z, y = zy()
+    with pytest.raises(ZeroDivisionError,
+                       match="^polynomial division by zero$"):
+        (z * y).exact_div(MultivariatePolynomial.zero(("z", "y")))
+
+
+def test_newton_series_root_needs_z_and_t():
+    z, y = zy()
+    with pytest.raises(ValueError,
+                       match="^polynomial must be in variables z and t$"):
+        newton_series_root(1 - y + z, Fraction(1), 5)

@@ -5,9 +5,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from permclass.series import (BivariateSeries, OnlineQuotient, SeriesError,
-                              UnivariateSeries, row_product,
-                              tpoly_interpolate, tpoly_value_pair)
+from permclass.series import (BivariateSeries, ConsistencyError,
+                              OnlineQuotient, SeriesError, UnivariateSeries,
+                              check_counting, row_product, tpoly_interpolate,
+                              tpoly_value_pair)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
                   max_size=7)
@@ -269,3 +270,24 @@ def test_tpoly_value_pair_is_two_plain_evaluations(coeffs, x):
     """The values at x and -x are those of sum(c x^k) at each."""
     assert tpoly_value_pair(coeffs, x) == tuple(
         sum(c * y ** k for k, c in enumerate(coeffs)) for y in (x, -x))
+
+
+@pytest.mark.parametrize("cls", [UnivariateSeries, BivariateSeries])
+def test_negative_truncation_order_rejected(cls):
+    with pytest.raises(SeriesError, match="^truncation order must be >= 0$"):
+        cls([], -1)
+
+
+@pytest.mark.parametrize("target", [2, Fraction(1, 2), [1, 1]])
+def test_subst_t_target_neither_one_nor_series_rejected(target):
+    f = BivariateSeries([[1], [0, 1]], 1)
+    with pytest.raises(SeriesError,
+                       match="^subst_t target must be 1 or a series$"):
+        f.subst_t(target)
+
+
+def test_check_counting_rejects_t_degree_above_length():
+    """Row z^1 = t^2 has a statistic value above the length 1."""
+    with pytest.raises(ConsistencyError,
+                       match="^t-degree exceeds length at z\\^1$"):
+        check_counting(BivariateSeries([[1], [0, 0, 1]], 1))
