@@ -23,36 +23,45 @@ fskew.  ``iterate`` therefore computes the rows online, each row of
 every intermediate once.
 
 The one bivariate product, (f-1) times W, is formed by evaluation and
-interpolation in t (von zur Gathen and Gerhard, Modern Computer
-Algebra, ch. 10).  The rows of (f-1)/z and of W are also kept as their
-values at the points t = -k..k, added as 0 and then in pairs -x, x only
-when a row's t-degree first needs them, so the points never depend on
-the order asked for (the iteration stays online in the sense of van
-der Hoeven, "Relax, but don't be too lazy", JSC 2002).  Row n of the
-product is one dot product of length n+1 at each of its points (n+2
-are needed, n+3 when they end a pair), brought back to coefficients in
-O(n^2) by ``series.tpoly_interpolate``.  The second equation, cleared
-as (1-z)(1-tz) f = 1 - z + fskew, is the recurrence
-f_s = fskew_s + (1+t) f_{s-1} - t f_{s-2} (s >= 2, f_1 = t); it gives
-f's new row both in coefficients and in values, the latter at one
-product by x per point from the dot product just taken.  Only W's new
-row, and every row at a new pair of points, are evaluated from
-coefficients, by one even/odd Horner pass per pair,
-p(+-x) = E(x^2) +- x O(x^2).  Each of these steps is O(n^2) per row, so
-order N costs about N^3/3 value products, where a coefficient product
-would cost about N^4/24.  The values are longer numbers than the
-coefficients: row n's points have |x| <= (n+2)/2, so its value is at
-most ((n+2)/2)^(n+1) times the sum of its coefficients, about
-(n+1) log2((n+2)/2) bits more, and n+1 bits fewer than at points
-0..n+1.  The Omega chain stays in coefficients, at O(n^2) per row.
+interpolation (von zur Gathen and Gerhard, Modern Computer Algebra,
+ch. 10) after a Kronecker substitution inside each pair of
+t-coefficients (ibid. 8.4; Harvey, JSC 44, 2009): a row
+E(t^2) + t O(t^2) is packed as E(T) + 2^S O(T), T = t^2, two
+coefficients a value.  The packed rows of (f-1)/z and of W are also
+kept as their values at T = -k..k, added as 0 and then in pairs -x, x
+only when a row's degree first needs them, so the points never depend
+on the order asked for (the iteration stays online in the sense of van
+der Hoeven, "Relax, but don't be too lazy", JSC 2002).  Product row n,
+of T-degree (n+1)/2, is one dot product of length n+1 at each of about
+n/2+2 points, interpolated back in O(n^2) by
+``series.tpoly_interpolate``; block m's slots of S bits hold t^2m,
+t^2m+1 and part of t^2m+2.  A row is evaluated at T = +-x in one
+``tpoly_value_pair`` pass.  Order N costs about N^3/6 value products,
+half as many as unpacked, and a quarter of the interpolation and of
+W's Horner work; a coefficient product would cost about N^4/24.
+
+The slots are exact while 2^S exceeds every coefficient, and as these
+are nonnegative each is at most the row's value at t = 1,
+bound_n = sum_i f(1)_{i+1} W_{n-i}(1), exact in O(n).  S is set at the
+first product row to bits(bound) + ceil(11 (N-s)/4) + 1, as 11/4 >
+log2(32/5), the growth rate, which the count ratios approach from
+below.  A later bound with more bits repacks and re-evaluates every
+row; an unpacked row must sum to bound_n, or ConsistencyError.  So the
+radix depends on the order asked for, and the rows do not.  With S
+more bits a value product costs more, and near N=200 packing stops
+paying (see README).  The Omega chain stays in coefficients.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from operator import mul
 
-from .series import (BivariateSeries, UnivariateSeries, check_counting,
-                     tpoly_interpolate, tpoly_sum, tpoly_value_pair)
+from .series import (BivariateSeries, ConsistencyError, UnivariateSeries,
+                     check_counting, tpoly_interpolate, tpoly_sum,
+                     tpoly_value_pair)
+
+_QUARTER_BITS_PER_ROW = 11   # a slot's headroom per row to come, times 4
 
 
 @dataclass(frozen=True)
@@ -86,95 +95,101 @@ def omega_apply(w: BivariateSeries, f: BivariateSeries,
 def iterate(n_max: int) -> ClassAState:
     """Compute f and fskew exactly to order n_max, one row at a time.
 
-    Row s of fskew = z (f-1) W is row s-2 of fz W, fz = (f-1)/z, one
-    row product that needs rows below s of f and rows below s-1 of W;
-    see ``_product_row``, which also returns the row's values at the
-    points -k..k.  Row m of W = f1 + G/(1-z) is row m of f1 = f(z,1)
-    plus the sum of rows 0..m of G.
-
-    Row s of f, which is fz's new row, follows from row s of fskew by
-    the second equation, (1-z)(1-tz) f = 1 - z + fskew:
+    Row s of fskew = z (f-1) W is row n = s-2 of fz W, fz = (f-1)/z,
+    from rows below s of f and below s-1 of W; see ``_product_row``.
+    Row m of W = f1 + G/(1-z) is row m of f1 = f(z,1) plus the sum of
+    rows 0..m of G.  Row s of f, fz's new row, follows from row s of
+    fskew by the second equation, (1-z)(1-tz) f = 1 - z + fskew:
 
         f_s = fskew_s + (1+t) f_{s-1} - t f_{s-2},  s >= 2,
 
-    with f_0 = 1 and f_1 = t, in coefficients and, at t = x, in values:
-    one product by x per point.  Only W's new row is evaluated at every
-    point, by ``tpoly_value_pair`` (one pass per pair +-x).  Row s costs
-    about s^2 value products and O(s^2) other work.
+    with f_0 = 1 and f_1 = t.  The new rows of fz and W are packed
+    (``_pack``) and evaluated at every point.  The bound on a product
+    row's coefficients comes from f1 and W's row sums; S is set, or
+    raised with every row repacked, when it has more bits than S.  Row
+    s costs about s^2/2 value products and O(s^2) other work.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
     """
     if n_max < 0:
         raise ValueError("order must be >= 0, got %d" % n_max)
-    f, fskew = [[1]], [[0]]
-    f1 = [1]            # f(z,1)
-    fz = []             # rows of (f-1)/z: fz[i] = f[i+1]
-    h = [[0]]           # Omega chain: h[j][m-j] = [z^m] H_j
+    f, fskew = [[1], [0, 1]], [[0], [0]]   # rows 0 and 1
+    f1 = [1, 1]         # f(z,1)
+    fz = [[0, 1]]       # rows of (f-1)/z: fz[i] = f[i+1]
+    h = [[0, 0], [0]]   # Omega chain: h[j][m-j] = [z^m] H_j
     g_sum = [0]         # the sum of the rows of G so far
-    w = [[1]]           # rows of W
-    fz_at, w_at = [], []   # per point x = -k..k: fz_at[x+k][i] = fz_i(x)
-    for s in range(1, n_max + 1):
-        if s >= 2:
-            row, values = _product_row(fz, w, fz_at, w_at)
-            # f_s by the recurrence, in coefficients
-            f.append(tpoly_sum(row, f[-1], [0] + f[-1],
-                               [0] + [-x for x in f[-2]]))
-        else:
-            row, values = [0], []
-            f.append([0, 1])
-        fskew.append(row)
+    w, w1 = [[1], [1]], [1, 1]   # rows of W, and W(z,1)
+    width = 0           # the slot width S, set at the first product row
+    packed, at = ([], []), ([], [])   # of fz and W: packed rows, values
+    for s in range(2, n_max + 1):
+        bound = sum(map(mul, f1[1:], reversed(w1[:-1])))
+        if (bits := bound.bit_length()) > width:
+            width = bits + 1 + -(-_QUARTER_BITS_PER_ROW * (n_max - s) // 4)
+            for rows, p, a in zip((fz, w), packed, at):
+                p[:] = [_pack(r, width) for r in rows]
+                a.clear()
+        fskew.append(_product_row(packed, at, width, bound))
+        f.append(tpoly_sum(fskew[s], f[-1], [0] + f[-1],
+                           [0] + [-x for x in f[-2]]))
         f1.append(sum(f[s]))
         fz.append(f[s])
-        g_sum = tpoly_sum(g_sum, _omega_chain_row(row, f1, h))
+        g_sum = tpoly_sum(g_sum, _omega_chain_row(fskew[s], f1, h))
         w.append(tpoly_sum([f1[s]], g_sum))
-        if s >= 2:
-            # f_s(x) by the recurrence (f_0 = 1); W's new row by Horner
-            k = len(fz_at) // 2
-            for x, (v, fz_x) in enumerate(zip(values, fz_at, strict=True),
-                                          -k):
-                last = fz_x[-1]
-                fz_x.append(v + last + x * (last - (fz_x[-2] if s > 2 else 1)))
-            for w_x, v in zip(w_at, _values(w[-1], k), strict=True):
-                w_x.append(v)
+        w1.append(sum(w[-1]))
+        for new, p, a in zip((f[s], w[-1]), packed, at):
+            p.append(_pack(new, width))
+            for point, v in zip(a, _values(p[-1], len(a) // 2), strict=True):
+                point.append(v)
     state = ClassAState(order=n_max, f=BivariateSeries(f, n_max),
                         fskew=BivariateSeries(fskew, n_max))
     check_counting(state.f, state.fskew)
     return state
 
 
-def _product_row(fz: list, w: list, fz_at: list, w_at: list) -> tuple:
-    """Row n = len(fz) - 1 of fz W, sum_i fz_i W_{n-i}, and its values
-    at the points -k..k.
+def _product_row(packed: tuple, at: tuple, width: int, bound: int) -> list:
+    """Row n = len(packed[0]) - 1 of fz W, sum_i fz_i W_{n-i}, from the
+    rows of fz and W packed with slot width ``width`` and their values
+    per point T = -k..k (``at``); the row must sum to ``bound``.
 
-    Row n has t-degree at most n+1, as fz_i = f_{i+1} has t-degree
-    i+1 (by the recurrence in ``iterate``) and W_m at most m, so n+2
-    points determine it and k <= (n+2)/2: a value is at most k^(n+1)
-    times the sum of the row's coefficients.  ``fz_at`` and ``w_at``
-    (per point -k..k, the values of the rows of fz and of W) gain the
-    points missing, 0 first and then pairs -x, x (see ``_add_points``).
-    At each point the row's value is one dot product, and
-    ``tpoly_interpolate`` turns the values back into coefficients.
+    fz_i = f_{i+1} has t-degree i+1 and W_m at most m, so the packed
+    row has T-degree at most (n+1)/2: ``at`` gains the points missing
+    (``_add_points``), the values are one dot product a point, and the
+    interpolated blocks are unpacked by shifts and masks.
     """
-    n = len(fz) - 1
-    while len(fz_at) < n + 2:
-        _add_points(fz, fz_at)
-        _add_points(w, w_at)
+    n = len(packed[0]) - 1
+    while len(at[0]) < (n + 3) // 2:
+        for p, a in zip(packed, at):
+            _add_points(p, a)
     values = [sum(map(mul, a, reversed(b[:n + 1])))
-              for a, b in zip(fz_at, w_at, strict=True)]
-    return tpoly_interpolate(values, -(len(values) // 2)), values
+              for a, b in zip(*at, strict=True)]
+    blocks = tpoly_interpolate(values, -(len(values) // 2))
+    mask, row = (1 << width) - 1, [0] * (2 * len(blocks) + 1)
+    for m, c in enumerate(blocks):
+        row[2 * m] += c & mask
+        row[2 * m + 1] += c >> width & mask
+        row[2 * m + 2] += c >> 2 * width
+    if sum(row) != bound:
+        raise ConsistencyError("row z^%d of fskew does not sum to its "
+                               "value at t = 1" % (n + 2))
+    return row
+
+
+def _pack(p: list, width: int) -> list:
+    """p = E(t^2) + t O(t^2) as E(T) + 2^width O(T), T = t^2."""
+    return [e + (o << width)
+            for e, o in zip_longest(p[::2], p[1::2], fillvalue=0)]
 
 
 def _values(p: list, k: int) -> list:
-    """The values of p at t = -k..k, one ``tpoly_value_pair`` per x."""
+    """The values of p at -k..k, one ``tpoly_value_pair`` per x."""
     pairs = [tpoly_value_pair(p, x) for x in range(1, k + 1)]
     return [m for _, m in reversed(pairs)] + p[:1] + [v for v, _ in pairs]
 
 
 def _add_points(rows: list, at: list) -> None:
     """Give ``at`` (per point -k..k, the values of ``rows``) its next
-    points: 0 when empty, else the pair -(k+1), k+1, both from one
-    ``tpoly_value_pair`` per row."""
+    points: 0 when empty, else -(k+1), k+1 by ``tpoly_value_pair``."""
     if not at:
         at.append([p[0] for p in rows])
         return

@@ -63,6 +63,21 @@ def series_products(monkeypatch):
     return log
 
 
+@pytest.fixture
+def pack_widths(monkeypatch):
+    """The slot widths ``class_a._pack`` is called with after the
+    fixture is requested.  A repacking raises the width, so there is
+    one width per packing, and the largest is the one in use."""
+    widths = set()
+    pack = class_a._pack
+
+    def spy(p, width):
+        widths.add(width)
+        return pack(p, width)
+    monkeypatch.setattr(class_a, "_pack", spy)
+    return widths
+
+
 def golden_text(name: str) -> str:
     return (GOLDEN / name).read_text()
 

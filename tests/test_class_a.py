@@ -43,6 +43,38 @@ def test_rows_to_100_are_pinned(state_a100):
         "79adfcfba577716b97e7a93f75f83c5de057900ce93325b03acf65c720f2bc09")
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("f", "9433452785bc3fc8c21303f2d14747f8c0a6944b2495f7e24f0061b8353f3438"),
+    ("fskew",
+     "2bd734035952bae2d06d1a68720d00908bd48b9eb71025ff5cca88aa7df0ad23"),
+])
+def test_each_series_rows_to_100_are_pinned(state_a100, name, digest):
+    """Each of f and fskew to order 100, far past the order-40 goldens:
+    the sha256 of its rows, one a line with space-separated
+    coefficients, as computed at commit c0e91ce with unpacked values."""
+    text = "".join(" ".join(map(str, row)) + "\n"
+                   for row in getattr(state_a100, name).c)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_narrow_slots_repack_to_the_same_rows(monkeypatch, pack_widths,
+                                              state_a60):
+    """With no headroom per row, the slot width is set from the first
+    product row's bound alone, so later rows outgrow it and every row
+    is repacked: the rows still equal the unpacked iteration's."""
+    monkeypatch.setattr(class_a, "_QUARTER_BITS_PER_ROW", 0)
+    state = class_a.iterate(60)
+    assert state.f.c == state_a60.f.c
+    assert state.fskew.c == state_a60.fskew.c
+    assert len(pack_widths) > 1
+
+
+@pytest.mark.parametrize("order", [60, 120])
+def test_shipped_slot_rule_packs_once(pack_widths, order):
+    class_a.iterate(order)
+    assert len(pack_widths) == 1
+
+
 def test_eq5_annihilates_counts_to_100(state_a100):
     """The degree-3 polynomial of the paper vanishes at f(z,1) through
     z^100, far past the order-40 goldens."""

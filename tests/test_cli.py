@@ -599,10 +599,10 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
 
 
 def test_inexact_interpolation_exit_code(capsys, monkeypatch):
-    """With every row value that the paired evaluator forms at t = 2 off
-    by one, the product values at t = 2 are off too, and the
-    interpolation's division by k! leaves a remainder: exit 6 with one
-    error line."""
+    """With every packed row value that the paired evaluator forms at
+    T = t^2 = 2 off by one, the product values at T = 2 are off too,
+    and the interpolation's division by k! leaves a remainder: exit 6
+    with one error line."""
     pair = class_a.tpoly_value_pair
 
     def off_at_2(p, x):
@@ -615,6 +615,26 @@ def test_inexact_interpolation_exit_code(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: values are not those of an integer "
                           "polynomial: Delta^") and err.count("\n") == 1
+
+
+def test_overflowing_slot_exits_6(capsys, monkeypatch, pack_widths):
+    """With one slot of one packed product row off by 2^S, S the slot
+    width, the interpolation is exact and every coefficient a
+    nonnegative int, but the unpacked row no longer sums to its value
+    at t = 1: exit 6 with one error line."""
+    interpolate = class_a.tpoly_interpolate
+
+    def overflow(values, start):
+        blocks = interpolate(values, start)
+        if len(values) == 7:
+            blocks[0] += 1 << max(pack_widths)
+        return blocks
+    monkeypatch.setattr(class_a, "tpoly_interpolate", overflow)
+    code, out, err = run_cli(capsys, "count", "--class", "class_a", "--n",
+                             "20", "--method", "functional_equation")
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err == "error: row z^11 of fskew does not sum to its value " \
+        "at t = 1\n"
 
 
 @pytest.mark.parametrize("argv", [
