@@ -28,17 +28,15 @@ ch. 10) after a Kronecker substitution inside each pair of
 t-coefficients (ibid. 8.4; Harvey, JSC 44, 2009): a row
 E(t^2) + t O(t^2) is packed as E(T) + 2^S O(T), T = t^2, two
 coefficients a value.  The packed rows of (f-1)/z and of W are also
-kept as their values at T = -k..k, added as 0 and then in pairs -x, x
-only when a row's degree first needs them, so the points never depend
-on the order asked for (the iteration stays online in the sense of van
-der Hoeven, "Relax, but don't be too lazy", JSC 2002).  Product row n,
-of T-degree (n+1)/2, is one dot product of length n+1 at each of about
-n/2+2 points, interpolated back in O(n^2) by
-``series.tpoly_interpolate``; block m's slots of S bits hold t^2m,
-t^2m+1 and part of t^2m+2.  A row is evaluated at T = +-x in one
-``tpoly_value_pair`` pass.  Order N costs about N^3/6 value products,
-half as many as unpacked, and a quarter of the interpolation and of
-W's Horner work; a coefficient product would cost about N^4/24.
+kept as their values at T = -K..K, K = floor((N+1)/4) for order N.
+Product row n, of T-degree (n+1)/2, reads the middle 2k+1 points,
+k = floor((n+3)/4): one dot product of length n+1 at each, interpolated
+back in O(n^2) by ``series.tpoly_interpolate``; block m's slots of S
+bits hold t^2m, t^2m+1 and part of t^2m+2.  A row is evaluated at
+T = +-x in one ``tpoly_value_pair`` pass.  Order N costs about N^3/6
+value products, half as many as unpacked, and a quarter of the
+interpolation and of W's Horner work; a coefficient product would cost
+about N^4/24.
 
 The slots are exact while 2^S exceeds every coefficient, and as these
 are nonnegative each is at most the row's value at t = 1,
@@ -47,9 +45,10 @@ first product row to bits(bound) + ceil(11 (N-s)/4) + 1, as 11/4 >
 log2(32/5), the growth rate, which the count ratios approach from
 below.  A later bound with more bits repacks and re-evaluates every
 row; an unpacked row must sum to bound_n, or ConsistencyError.  So the
-radix depends on the order asked for, and the rows do not.  With S
-more bits a value product costs more, and near N=200 packing stops
-paying (see README).  The Omega chain stays in coefficients.
+points and the radix depend on the order asked for, and the rows do
+not.  With S more bits a value product costs more, and near N=200
+packing stops paying (see README).  The Omega chain stays in
+coefficients.
 """
 from __future__ import annotations
 
@@ -103,11 +102,13 @@ def iterate(n_max: int) -> ClassAState:
 
         f_s = fskew_s + (1+t) f_{s-1} - t f_{s-2},  s >= 2,
 
-    with f_0 = 1 and f_1 = t.  The new rows of fz and W are packed
-    (``_pack``) and evaluated at every point.  The bound on a product
-    row's coefficients comes from f1 and W's row sums; S is set, or
-    raised with every row repacked, when it has more bits than S.  Row
-    s costs about s^2/2 value products and O(s^2) other work.
+    with f_0 = 1 and f_1 = t.  The new rows of (f-1)/z, f_s, and of W
+    are packed (``_pack``) and evaluated once at each point T = -K..K,
+    K = (n_max+1)//4, the points the last product row needs.  The bound
+    on a product row's coefficients comes from f1 and W's row sums; S
+    is set, or raised with every row repacked and re-evaluated, when it
+    has more bits than S.  Row s costs about s^2/2 value products and
+    O(s^2) other work.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -116,30 +117,29 @@ def iterate(n_max: int) -> ClassAState:
         raise ValueError("order must be >= 0, got %d" % n_max)
     f, fskew = [[1], [0, 1]], [[0], [0]]   # rows 0 and 1
     f1 = [1, 1]         # f(z,1)
-    fz = [[0, 1]]       # rows of (f-1)/z: fz[i] = f[i+1]
     h = [[0, 0], [0]]   # Omega chain: h[j][m-j] = [z^m] H_j
     g_sum = [0]         # the sum of the rows of G so far
     w, w1 = [[1], [1]], [1, 1]   # rows of W, and W(z,1)
     width = 0           # the slot width S, set at the first product row
-    packed, at = ([], []), ([], [])   # of fz and W: packed rows, values
+    k = (n_max + 1) // 4   # the points are T = -k..k
+    at = ([], [])       # of (f-1)/z and W, per point: the packed rows' values
     for s in range(2, n_max + 1):
         bound = sum(map(mul, f1[1:], reversed(w1[:-1])))
         if (bits := bound.bit_length()) > width:
             width = bits + 1 + -(-_QUARTER_BITS_PER_ROW * (n_max - s) // 4)
-            for rows, p, a in zip((fz, w), packed, at):
-                p[:] = [_pack(r, width) for r in rows]
-                a.clear()
-        fskew.append(_product_row(packed, at, width, bound))
+            for rows, a in zip((f[1:], w), at):
+                a[:] = map(list, zip(*(_values(_pack(r, width), k)
+                                       for r in rows)))
+        fskew.append(_product_row(at, width, bound))
         f.append(tpoly_sum(fskew[s], f[-1], [0] + f[-1],
                            [0] + [-x for x in f[-2]]))
         f1.append(sum(f[s]))
-        fz.append(f[s])
         g_sum = tpoly_sum(g_sum, _omega_chain_row(fskew[s], f1, h))
         w.append(tpoly_sum([f1[s]], g_sum))
         w1.append(sum(w[-1]))
-        for new, p, a in zip((f[s], w[-1]), packed, at):
-            p.append(_pack(new, width))
-            for point, v in zip(a, _values(p[-1], len(a) // 2), strict=True):
+        for new, a in zip((f[s], w[-1]), at):
+            for point, v in zip(a, _values(_pack(new, width), k),
+                                strict=True):
                 point.append(v)
     state = ClassAState(order=n_max, f=BivariateSeries(f, n_max),
                         fskew=BivariateSeries(fskew, n_max))
@@ -147,23 +147,22 @@ def iterate(n_max: int) -> ClassAState:
     return state
 
 
-def _product_row(packed: tuple, at: tuple, width: int, bound: int) -> list:
-    """Row n = len(packed[0]) - 1 of fz W, sum_i fz_i W_{n-i}, from the
-    rows of fz and W packed with slot width ``width`` and their values
-    per point T = -k..k (``at``); the row must sum to ``bound``.
+def _product_row(at: tuple, width: int, bound: int) -> list:
+    """Row n of fz W, sum_i fz_i W_{n-i}, fz = (f-1)/z, from the values
+    of the rows of fz and W packed with slot width ``width`` per point
+    T = -K..K (``at``; fz has rows 0..n); the row must sum to ``bound``.
 
     fz_i = f_{i+1} has t-degree i+1 and W_m at most m, so the packed
-    row has T-degree at most (n+1)/2: ``at`` gains the points missing
-    (``_add_points``), the values are one dot product a point, and the
-    interpolated blocks are unpacked by shifts and masks.
+    row has T-degree at most (n+1)/2: the values are one dot product at
+    each of the middle 2k+1 points, k = (n+3)//4, and the interpolated
+    blocks are unpacked by shifts and masks.
     """
-    n = len(packed[0]) - 1
-    while len(at[0]) < (n + 3) // 2:
-        for p, a in zip(packed, at):
-            _add_points(p, a)
+    n, mid = len(at[0][0]) - 1, len(at[0]) // 2
+    k = (n + 3) // 4
     values = [sum(map(mul, a, reversed(b[:n + 1])))
-              for a, b in zip(*at, strict=True)]
-    blocks = tpoly_interpolate(values, -(len(values) // 2))
+              for a, b in zip(*(x[mid - k:mid + k + 1] for x in at),
+                              strict=True)]
+    blocks = tpoly_interpolate(values, -k)
     mask, row = (1 << width) - 1, [0] * (2 * len(blocks) + 1)
     for m, c in enumerate(blocks):
         row[2 * m] += c & mask
@@ -185,18 +184,6 @@ def _values(p: list, k: int) -> list:
     """The values of p at -k..k, one ``tpoly_value_pair`` per x."""
     pairs = [tpoly_value_pair(p, x) for x in range(1, k + 1)]
     return [m for _, m in reversed(pairs)] + p[:1] + [v for v, _ in pairs]
-
-
-def _add_points(rows: list, at: list) -> None:
-    """Give ``at`` (per point -k..k, the values of ``rows``) its next
-    points: 0 when empty, else -(k+1), k+1 by ``tpoly_value_pair``."""
-    if not at:
-        at.append([p[0] for p in rows])
-        return
-    x = len(at) // 2 + 1
-    pairs = [tpoly_value_pair(p, x) for p in rows]
-    at.insert(0, [m for _, m in pairs])
-    at.append([v for v, _ in pairs])
 
 
 def _omega_chain_row(w: list, f1: list, h: list) -> list:

@@ -113,6 +113,9 @@ def cmd_distribution(args) -> int:
     class_id = args.class_id
     basis, _ = _CLASSES[class_id]
     stat = args.stat or _FE_STATS[class_id]
+    if stat == "gap_count" and args.n == 0:
+        raise CliError("gap_count is undefined on the empty permutation, "
+                       "so --n 0 has no rows; use --n 1 or more", 2)
     rep = oracle.statistic_distribution(basis, args.n, stat,
                                         node_budget=args.node_budget)
     rows = [{"n": n, "k": k, "count": c}

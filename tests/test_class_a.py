@@ -75,6 +75,21 @@ def test_shipped_slot_rule_packs_once(pack_widths, order):
     assert len(pack_widths) == 1
 
 
+@pytest.mark.parametrize("order, calls", [(3, 7), (10, 42), (60, 1815)])
+def test_each_row_is_evaluated_once_at_each_point(monkeypatch, order, calls):
+    """The 2N+1 packed rows of (f-1)/z and W (N and N+1 of them) are
+    each evaluated once at every pair of points T = +-1..+-K,
+    K = (N+1)//4: (2N+1) K calls of the paired evaluator, no more."""
+    pair, seen = class_a.tpoly_value_pair, []
+
+    def counted(p, x):
+        seen.append(x)
+        return pair(p, x)
+    monkeypatch.setattr(class_a, "tpoly_value_pair", counted)
+    class_a.iterate(order)
+    assert len(seen) == calls == (2 * order + 1) * ((order + 1) // 4)
+
+
 def test_eq5_annihilates_counts_to_100(state_a100):
     """The degree-3 polynomial of the paper vanishes at f(z,1) through
     z^100, far past the order-40 goldens."""

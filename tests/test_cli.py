@@ -486,18 +486,13 @@ TABLES = {
     "distribution_text": (
         ("distribution", "--class", "class_a", "--n", "3"),
         "0,0,1\n1,1,1\n2,1,1\n2,2,1\n3,1,3\n3,2,2\n3,3,1\n"),
-    "distribution_empty_csv": (
-        ("distribution", "--class", "class_b", "--n", "0", "--stat",
-         "gap_count", "--format", "csv"),
-        "n,k,count\n"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(TABLES))
 def test_table_exact_output(capsys, name):
     """The text and CSV tables of count and distribution, byte for byte
-    (a CSV bool is lower case; a distribution with no rows is only the
-    header)."""
+    (a CSV bool is lower case)."""
     argv, text = TABLES[name]
     assert run_cli(capsys, *argv) == (0, text, "")
 
@@ -579,8 +574,16 @@ def test_kernel_check_fails_on_wrong_class_b_row(capsys, monkeypatch):
      "--dz", "-2"),
     ("count", "--class", "class_a", "--n", "5", "--method", "oracle",
      "--node-budget", "-3"),
+    ("distribution", "--class", "class_b", "--n", "0", "--stat",
+     "gap_count"),
+    ("distribution", "--class", "class_a", "--n", "0", "--stat",
+     "gap_count", "--format", "json"),
+    ("distribution", "--class", "class_b", "--n", "0", "--stat",
+     "gap_count", "--format", "csv"),
 ], ids=["count_fe", "count_oracle", "distribution", "verify_order",
-        "growth_terms", "guess_dy", "guess_dz", "count_node_budget"])
+        "growth_terms", "guess_dy", "guess_dz", "count_node_budget",
+        "gap_count_empty_text", "gap_count_empty_json",
+        "gap_count_empty_csv"])
 def test_out_of_range_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

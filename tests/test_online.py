@@ -11,19 +11,17 @@ from conftest import coefficient
 CLASSES = [class_a, class_b]
 
 
-@pytest.fixture(scope="session")
-def states_40():
-    return {mod.__name__: mod.iterate(40) for mod in CLASSES}
-
-
 @pytest.mark.parametrize("mod", CLASSES, ids=["class_a", "class_b"])
 @settings(deadline=None)
-@given(n=st.integers(min_value=0, max_value=25))
-def test_iterate_is_a_prefix_of_a_deeper_iterate(mod, states_40, n):
-    """Every series of the state at order n is the order-40 one
+@given(n=st.integers(min_value=0, max_value=59))
+def test_iterate_is_a_prefix_of_a_deeper_iterate(mod, state_a60, state_b60,
+                                                 n):
+    """Every series of the state at order n is the order-60 one
     truncated, so nothing the iteration builds once at order n (the
-    prefactor recurrences) depends on n beyond the truncation."""
-    deep, state = states_40[mod.__name__], mod.iterate(n)
+    prefactor recurrences; class A's evaluation points and slot width)
+    depends on n beyond the truncation."""
+    deep = state_a60 if mod is class_a else state_b60
+    state = mod.iterate(n)
     assert state.order == n
     for field in dataclasses.fields(state):
         if field.name != "order":
