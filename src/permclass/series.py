@@ -198,23 +198,25 @@ def tpoly_value(p: Sequence[Coeff], x: Coeff) -> Coeff:
     return acc
 
 
-def tpoly_value_pair(p: Sequence[Coeff], x: Coeff) -> tuple:
-    """The polynomial p in t at t = x and at t = -x, for the price of
-    one Horner pass: writing p(t) = E(t^2) + t O(t^2), E and O of the
-    even and the odd coefficients, p(+-x) = E(x^2) +- x O(x^2), and E
-    and O are each half as long as p.
+def tpoly_values(p: Sequence[Coeff], k: int) -> list:
+    """The polynomial p in t at t = -k..k: p is split once as
+    E(t^2) + t O(t^2), and p(+-x) = E(x^2) +- x O(x^2) costs one Horner
+    pass over E and one over O, each half as long as p.
 
-    >>> tpoly_value_pair([1, 2, 3], 2)          # 1 + 2t + 3t^2
-    (17, 9)
+    >>> tpoly_values([1, 2, 3], 2)          # 1 + 2t + 3t^2
+    [9, 2, 1, 6, 17]
     """
-    x2 = x * x
-    even = odd = 0
-    for c in reversed(p[::2]):
-        even = even * x2 + c
-    for c in reversed(p[1::2]):
-        odd = odd * x2 + c
-    odd *= x
-    return even + odd, even - odd
+    even, odd = p[::2][::-1], p[1::2][::-1]
+    plus, minus = [], []
+    for x in range(1, k + 1):
+        x2, e, o = x * x, 0, 0
+        for c in even:
+            e = e * x2 + c
+        for c in odd:
+            o = o * x2 + c
+        plus.append(e + x * o)
+        minus.append(e - x * o)
+    return minus[::-1] + [p[0] if p else 0] + plus
 
 
 def tpoly_interpolate(values: Sequence[int], start: int = 0) -> list:

@@ -78,6 +78,21 @@ def pack_widths(monkeypatch):
     return widths
 
 
+@pytest.fixture
+def chain_sizes(monkeypatch):
+    """The slot sizes in bytes ``class_a._pack_bytes`` is called with
+    after the fixture is requested: one per packing of the Omega
+    chain's rows, as a widening repacks them."""
+    sizes = set()
+    pack_bytes = class_a._pack_bytes
+
+    def spy(p, size):
+        sizes.add(size)
+        return pack_bytes(p, size)
+    monkeypatch.setattr(class_a, "_pack_bytes", spy)
+    return sizes
+
+
 def golden_text(name: str) -> str:
     return (GOLDEN / name).read_text()
 

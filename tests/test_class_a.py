@@ -75,19 +75,45 @@ def test_shipped_slot_rule_packs_once(pack_widths, order):
     assert len(pack_widths) == 1
 
 
-@pytest.mark.parametrize("order, calls", [(3, 7), (10, 42), (60, 1815)])
-def test_each_row_is_evaluated_once_at_each_point(monkeypatch, order, calls):
-    """The 2N+1 packed rows of (f-1)/z and W (N and N+1 of them) are
-    each evaluated once at every pair of points T = +-1..+-K,
-    K = (N+1)//4: (2N+1) K calls of the paired evaluator, no more."""
-    pair, seen = class_a.tpoly_value_pair, []
+def test_narrow_chain_slots_repack_to_the_same_rows(monkeypatch, chain_sizes,
+                                                    state_a100):
+    """With no headroom per row, the Omega chain's slots are sized by
+    each row's bound alone and widen again and again, every widening
+    repacking G's rows: the rows and fskew(z, f(z,1)) still equal the
+    pinned order-100 state's."""
+    monkeypatch.setattr(class_a, "_QUARTER_BITS_PER_ROW", 0)
+    assert class_a.iterate(100) == state_a100
+    assert len(chain_sizes) > 2
 
-    def counted(p, x):
-        seen.append(x)
-        return pair(p, x)
-    monkeypatch.setattr(class_a, "tpoly_value_pair", counted)
+
+@pytest.mark.parametrize("order", [60, 120])
+def test_shipped_slot_rule_packs_the_chain_once(chain_sizes, order):
     class_a.iterate(order)
-    assert len(seen) == calls == (2 * order + 1) * ((order + 1) // 4)
+    assert len(chain_sizes) == 1
+
+
+@pytest.mark.parametrize("order, calls", [(3, 4), (10, 36), (60, 1770)])
+def test_each_row_is_evaluated_once_at_each_point(monkeypatch, order, calls):
+    """The 2N-2 packed rows that the product rows read, f_1..f_{N-1} of
+    (f-1)/z and W_0..W_{N-2}, are each evaluated once, at every pair of
+    points T = +-1..+-K, K = (N+1)//4: (2N-2) K pair evaluations, no
+    more."""
+    evaluate, seen = class_a.tpoly_values, []
+
+    def counted(p, k):
+        seen.append(k)
+        return evaluate(p, k)
+    monkeypatch.setattr(class_a, "tpoly_values", counted)
+    class_a.iterate(order)
+    assert len(seen) == 2 * order - 2
+    assert sum(seen) == calls == (2 * order - 2) * ((order + 1) // 4)
+
+
+def test_fskew_at_f1_is_the_substitution_to_100(state_a100):
+    """The chain's column 0, carried on the state, against fskew's rows
+    substituted at t = f(z,1) by Horner over fskew's columns."""
+    assert class_a.fskew_at_f1(state_a100) == state_a100.fskew.subst_t(
+        state_a100.f.subst_t(1))
 
 
 def test_eq5_annihilates_counts_to_100(state_a100):

@@ -602,16 +602,18 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
 
 
 def test_inexact_interpolation_exit_code(capsys, monkeypatch):
-    """With every packed row value that the paired evaluator forms at
+    """With every packed row value that the evaluator forms at
     T = t^2 = 2 off by one, the product values at T = 2 are off too,
     and the interpolation's division by k! leaves a remainder: exit 6
     with one error line."""
-    pair = class_a.tpoly_value_pair
+    evaluate = class_a.tpoly_values
 
-    def off_at_2(p, x):
-        plus, minus = pair(p, x)
-        return plus + (x == 2), minus
-    monkeypatch.setattr(class_a, "tpoly_value_pair", off_at_2)
+    def off_at_2(p, k):
+        values = evaluate(p, k)
+        if k >= 2:
+            values[k + 2] += 1
+        return values
+    monkeypatch.setattr(class_a, "tpoly_values", off_at_2)
     code, out, err = run_cli(capsys, "count", "--class", "class_a", "--n",
                              "10", "--method", "functional_equation")
     assert code == cli.EXIT_INCONSISTENT

@@ -3,7 +3,7 @@ import itertools
 import operator
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from permclass import _kernels, perms
 
@@ -224,3 +224,24 @@ def test_child_mask_from_parent_matches_containment(basis, state_of, ext,
 
 def test_active_backend_exposed():
     assert _kernels.BACKEND == "python"
+
+
+small_coeffs = st.one_of(st.sampled_from([0, 1, -1]),
+                         st.integers(-10 ** 20, 10 ** 20))
+
+
+@given(st.lists(small_coeffs, max_size=12),
+       st.lists(st.one_of(st.just(0), st.integers(-10 ** 20, 10 ** 20)),
+                max_size=12),
+       st.lists(st.integers(-10 ** 6, 10 ** 6), max_size=4))
+@example(p=[0, 1, -1, 2], q=[0, 3, 0], extra=[5])
+def test_tpoly_mul_acc_matches_a_double_loop(p, q, extra):
+    """acc[i+j] += p[i] q[j] over every pair, zeros, +-1 and all, onto
+    an acc that holds values already and may be longer than needed."""
+    acc = [7 * (i - 3) for i in range(max(len(p) + len(q) - 1, 0))] + extra
+    want = list(acc)
+    for i in range(len(p)):
+        for j in range(len(q)):
+            want[i + j] += p[i] * q[j]
+    _kernels.tpoly_mul_acc(acc, p, q)
+    assert acc == want

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from permclass.series import (BivariateSeries, ConsistencyError,
                               OnlineQuotient, SeriesError, UnivariateSeries,
                               check_counting, row_product, tpoly_interpolate,
-                              tpoly_value_pair)
+                              tpoly_values)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
                   max_size=7)
@@ -259,17 +259,18 @@ def test_tpoly_interpolate_rejects_non_integer_polynomials(k, extra):
             tpoly_interpolate(values, start)
 
 
-@given(st.lists(big_ints, max_size=41),
-       st.integers(min_value=0, max_value=10 ** 6))
-@example(coeffs=[], x=3)              # the empty list
-@example(coeffs=[-7], x=5)            # degree 0
-@example(coeffs=[1, 2, 3], x=2)       # odd length
-@example(coeffs=[1, 2, 3, 4], x=2)    # even length
-@example(coeffs=[10 ** 30, -10 ** 30], x=0)
-def test_tpoly_value_pair_is_two_plain_evaluations(coeffs, x):
-    """The values at x and -x are those of sum(c x^k) at each."""
-    assert tpoly_value_pair(coeffs, x) == tuple(
-        sum(c * y ** k for k, c in enumerate(coeffs)) for y in (x, -x))
+@given(st.lists(big_ints, max_size=41), st.integers(min_value=0,
+                                                    max_value=20))
+@example(coeffs=[], k=3)              # the empty list
+@example(coeffs=[-7], k=5)            # degree 0
+@example(coeffs=[1, 2, 3], k=2)       # odd length
+@example(coeffs=[1, 2, 3, 4], k=2)    # even length
+@example(coeffs=[10 ** 30, -10 ** 30], k=0)
+def test_tpoly_values_are_plain_evaluations(coeffs, k):
+    """The values at -k..k are those of sum(c x^j) at each x."""
+    assert tpoly_values(coeffs, k) == [
+        sum(c * x ** j for j, c in enumerate(coeffs))
+        for x in range(-k, k + 1)]
 
 
 @pytest.mark.parametrize("cls", [UnivariateSeries, BivariateSeries])
