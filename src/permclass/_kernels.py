@@ -56,7 +56,10 @@ def tpoly_mul_acc(acc: list, p: list, q: list) -> None:
 
 
 def series_mul(a: list, b: list, order: int) -> list:
-    """Truncated Cauchy product of coefficient lists (univariate)."""
+    """Truncated Cauchy product of coefficient lists (univariate), the
+    outer loop over the factor with more zeros, which it skips."""
+    if b.count(0) > a.count(0):
+        a, b = b, a
     out = [0] * (order + 1)
     for i, ai in enumerate(a):
         if i > order:

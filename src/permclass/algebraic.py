@@ -344,6 +344,10 @@ def kernel_root_check(state) -> tuple[dict, MultivariatePolynomial]:
     f(z,1), f_t(z,1) and f(z,1/(1-z)), built here), keyed as
     ``kernel-check`` reports them, each of which exceeds N when its
     check passes, and the cofactor of the kernel decomposition.
+    P = K*y0 + R, so P's value is K's times y0 plus R's.  y0 = f(z,t1),
+    one series product per t-degree of f, is formed only when K's
+    residual is at most N: at a root of K, K*y0 vanishes through z^N,
+    and y0, of which R is free, is set to 0.
     """
     t1 = newton_series_root(m1_poly(), Fraction(1), state.order)
     decomp = kernel_extract()
@@ -351,13 +355,12 @@ def kernel_root_check(state) -> tuple[dict, MultivariatePolynomial]:
     *cols, y3 = [col.c for col in f.columns()]
     for col in reversed(cols):  # Horner; times 1/(1-z) is a running sum
         y3 = [s + x for s, x in zip(accumulate(y3), col)]
-    at = {"y0": f.subst_t(t1), "y1": f.subst_t(1), "y2": f.deriv_t_at_1(),
+    at = {"y1": f.subst_t(1), "y2": f.deriv_t_at_1(),
           "y3": UnivariateSeries(y3, f.order),
           "z": UnivariateSeries.z(state.order), "t": t1}
     k_at = decomp.K.eval(at)
+    at["y0"] = 0 if k_at.valuation() > state.order else f.subst_t(t1)
     r_at = decomp.R.eval(at)
-    # R is P - K*y0 by construction, so P's value at the assignment is
-    # K's times y0 plus R's
     p_at = k_at * at["y0"] + r_at
     residuals = {"m1_residual_order": verify_annihilation(m1_poly(), at),
                  "kernel_residual_order": k_at.valuation(),

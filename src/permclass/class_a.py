@@ -118,8 +118,11 @@ def iterate(n_max: int) -> ClassAState:
     g_sum, w, w1 = [0], [], []   # G's rows summed; rows of W, W(z,1)
     width, k = 0, (n_max + 1) // 4   # S, set at row 2; the points T = -k..k
     for s in range(2, n_max + 1):
-        g_sum = tpoly_sum(g_sum, g[s - 2])
-        w.append(tpoly_sum([f1[s - 2]], g_sum))
+        g_sum += [0] * (len(g[s - 2]) - len(g_sum))
+        for j, x in enumerate(g[s - 2]):
+            g_sum[j] += x
+        w.append(g_sum[:])
+        w[-1][0] += f1[s - 2]
         w1.append(sum(w[-1]))
         bound = sum(map(mul, f1[1:], reversed(w1)))
         if (bits := bound.bit_length()) > width:   # (re)pack every row
@@ -131,8 +134,11 @@ def iterate(n_max: int) -> ClassAState:
                 for point, v in zip(a, tpoly_values(_pack(new, width), k)):
                     point.append(v)
         fskew.append(_product_row(at, width, bound))
-        f.append(tpoly_sum(fskew[s], f[-1], [0] + f[-1],
-                           [0] + [-x for x in f[-2]]))
+        row = fskew[s] + [0] * (s + 1 - len(fskew[s]))
+        for j, (x, y) in enumerate(zip_longest(f[-1], f[-2], fillvalue=0)):
+            row[j] += x   # + (1+t) f_{s-1} - t f_{s-2}
+            row[j + 1] += x - y
+        f.append(tpoly_sum(row))
         f1.append(sum(f[s]))
         bound += sum(map(mul, f1[1:], reversed(g1)))   # and of G's row s
         if (bits := bound.bit_length()) > 8 * size:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 from typing import Iterable, Mapping
 
 from .series import UnivariateSeries, tpoly_interpolate, tpoly_value
@@ -55,6 +56,16 @@ class MultivariatePolynomial:
                 clean[expo] = int(coef)
         object.__setattr__(self, "vars", vars)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _of(cls, vars: tuple, terms: dict) -> "MultivariatePolynomial":
+        """From terms this class formed (the right arity, int
+        coefficients): the zeros dropped, without the checks."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "vars", vars)
+        object.__setattr__(out, "terms",
+                           {e: c for e, c in terms.items() if c})
+        return out
 
     # -- constructors ---------------------------------------------------
 
@@ -133,13 +144,12 @@ class MultivariatePolynomial:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             terms[e] = terms.get(e, 0) + c
-        return MultivariatePolynomial(self.vars, terms)
+        return MultivariatePolynomial._of(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultivariatePolynomial(
-            self.vars, {e: -c for e, c in self.terms.items()})
+        return self * -1
 
     def __sub__(self, other):
         return self + (-other)
@@ -149,15 +159,15 @@ class MultivariatePolynomial:
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return MultivariatePolynomial(
+            return MultivariatePolynomial._of(
                 self.vars, {e: c * other for e, c in self.terms.items()})
         self._check(other)
         terms: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
+                e = tuple(map(add, e1, e2))
                 terms[e] = terms.get(e, 0) + c1 * c2
-        return MultivariatePolynomial(self.vars, terms)
+        return MultivariatePolynomial._of(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -377,8 +387,6 @@ def _horner(terms: list, values: list, depth: int):
     keys = sorted(groups, reverse=True)
     acc = _horner(groups[keys[0]], values, depth + 1)
     for hi, lo in zip(keys, keys[1:]):
-        # x^gap goes first: when it is a monomial series, series_mul
-        # skips all of its coefficients but one
         acc = _power(x, hi - lo) * acc + _horner(groups[lo], values,
                                                  depth + 1)
     return _power(x, keys[-1]) * acc if keys[-1] else acc

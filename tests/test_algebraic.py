@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from permclass import algebraic, class_a, class_b, fixtures
 from permclass.polynomials import MultivariatePolynomial, NotDivisibleError
-from permclass.series import UnivariateSeries
+from permclass.series import BivariateSeries, UnivariateSeries
 
 
 def catalan_series(order):
@@ -240,6 +240,57 @@ def test_kernel_root_check_small():
     assert residuals["kernel_residual_order"] > 20
     assert residuals["r_residual_order"] > 20
     assert residuals["p_residual_order"] > 20
+
+
+def test_kernel_root_check_200():
+    residuals, _ = algebraic.kernel_root_check(class_b.iterate(200))
+    assert set(residuals.values()) == {201}
+
+
+def test_kernel_root_check_forms_no_series_substitution_at_the_root(
+        monkeypatch):
+    """At the kernel root K vanishes through the order, so y0 =
+    f(z, t1) is not formed: subst_t only ever substitutes t = 1."""
+    targets = []
+    subst_t = BivariateSeries.subst_t
+
+    def spy(f, value):
+        targets.append(value)
+        return subst_t(f, value)
+
+    monkeypatch.setattr(BivariateSeries, "subst_t", spy)
+    residuals, _ = algebraic.kernel_root_check(class_b.iterate(40))
+    assert set(residuals.values()) == {41}
+    assert targets and not any(isinstance(x, UnivariateSeries)
+                               for x in targets)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_kernel_root_check_off_the_root(monkeypatch, k):
+    """With t1 + z^k in place of the kernel root, m1's residual is k
+    and K's is k+3 (K = (1-2z)(1-z) m1 m2, m1_t(0, 1) = -1, and m2(z, t1)
+    has z-order 3), so y0 = f(z, t1 + z^k) is formed, and P's residual
+    is that of K y0 + R, computed here from subst_t."""
+    order = 20
+    root = algebraic.newton_series_root
+
+    def off_root(p, t0, n):
+        return root(p, t0, n) + UnivariateSeries.z(n).shift(k - 1)
+
+    monkeypatch.setattr(algebraic, "newton_series_root", off_root)
+    state = class_b.iterate(order)
+    residuals, _ = algebraic.kernel_root_check(state)
+    f, t = state.f, off_root(algebraic.m1_poly(), Fraction(1), order)
+    at = {"y0": f.subst_t(t), "y1": f.subst_t(1), "y2": f.deriv_t_at_1(),
+          "y3": f.subst_t(UnivariateSeries.geometric(1, order)),
+          "z": UnivariateSeries.z(order), "t": t}
+    kd = algebraic.kernel_extract()
+    k_at, r_at = kd.K.eval(at), kd.R.eval(at)
+    assert residuals["m1_residual_order"] == k
+    assert residuals["kernel_residual_order"] == k_at.valuation() == k + 3
+    assert residuals["r_residual_order"] == r_at.valuation()
+    assert residuals["p_residual_order"] == (k_at * at["y0"]
+                                             + r_at).valuation()
 
 
 @pytest.mark.parametrize("order", [0, 1, 40, 120])

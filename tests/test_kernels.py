@@ -245,3 +245,23 @@ def test_tpoly_mul_acc_matches_a_double_loop(p, q, extra):
             want[i + j] += p[i] * q[j]
     _kernels.tpoly_mul_acc(acc, p, q)
     assert acc == want
+
+
+series_coeffs = st.one_of(st.just(0), st.integers(-10 ** 20, 10 ** 20),
+                          st.fractions(max_denominator=50))
+
+
+@given(st.lists(series_coeffs, max_size=14),
+       st.lists(series_coeffs, max_size=14), st.integers(0, 10))
+@example(a=[0, 0, 5], b=[1, -2, 3, 0, 4], n=3)
+def test_series_mul_matches_a_double_loop(a, b, n):
+    """series_mul truncates the Cauchy product at z^n whichever factor
+    its outer loop runs over: zeros, negatives and Fractions, factors
+    longer and shorter than n+1."""
+    want = [0] * (n + 1)
+    for i in range(len(a)):
+        for j in range(len(b)):
+            if i + j <= n:
+                want[i + j] += a[i] * b[j]
+    assert _kernels.series_mul(a, b, n) == want
+    assert _kernels.series_mul(b, a, n) == want

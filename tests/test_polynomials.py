@@ -341,17 +341,30 @@ def test_degree8_check_is_horner_in_y(series_products):
     assert dense <= poly.degree("y") == 8
 
 
-def test_kernel_check_40_coefficient_products(series_products, capsys):
-    """The kernel check at order 40 forms at most 80,000 coefficient
-    products in all (154,088 with one product per variable per term)."""
-    assert cli.main(["kernel-check", "--order", "40"]) == 0
+def _kernel_check_products(series_products, capsys, order):
+    """The coefficient products ``kernel-check --order order`` forms:
+    nonzero a[i] times nonzero b[j], i + j <= the product's order."""
+    assert cli.main(["kernel-check", "--order", str(order)]) == 0
     assert capsys.readouterr().out.endswith("kernel check: PASS\n")
     work = 0
-    for a, b, order in series_products:
+    for a, b, n in series_products:
         nonzero_b = [j for j, x in enumerate(b) if x]
         work += sum(1 for i, x in enumerate(a) if x
-                    for j in nonzero_b if i + j <= order)
-    assert work <= 80000
+                    for j in nonzero_b if i + j <= n)
+    return work
+
+
+def test_kernel_check_40_coefficient_products(series_products, capsys):
+    """The kernel check at order 40 forms at most 15,000 coefficient
+    products in all (154,088 with one product per variable per term,
+    23,385 with f(z, t1) substituted at the kernel root)."""
+    assert _kernel_check_products(series_products, capsys, 40) <= 15000
+
+
+def test_kernel_check_200_coefficient_products(series_products, capsys):
+    """At order 200 at most 300,000 (1,575,047 with f(z, t1)
+    substituted at the kernel root, most of them in that substitution)."""
+    assert _kernel_check_products(series_products, capsys, 200) <= 300000
 
 
 def test_constructor_rejects_wrong_arity_and_non_integers():
@@ -359,6 +372,29 @@ def test_constructor_rejects_wrong_arity_and_non_integers():
         MultivariatePolynomial(("z",), {(1, 2): 1})
     with pytest.raises(ValueError, match="^coefficients must be integers$"):
         MultivariatePolynomial(("z",), {(1,): Fraction(1, 2)})
+
+
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(0, 3)] * 3),
+    st.one_of(st.just(0), st.integers(-10 ** 12, 10 ** 12)),
+    max_size=6).map(lambda terms: MultivariatePolynomial("xyz", terms))
+
+
+@given(small_polys, small_polys, st.integers(-3, 3))
+def test_arithmetic_keeps_nonzero_int_terms(p, q, k):
+    """+, -, *, unary - and **2 build their terms without the public
+    constructor's checks: each result already holds only nonzero int
+    coefficients under exponent tuples of arity 3, as the constructor
+    would give it, and takes the values of the operands' arithmetic."""
+    point = {"x": 2, "y": -3, "z": 5}
+    pv, qv = p.eval(point), q.eval(point)
+    for r, value in ((p + q, pv + qv), (p - q, pv - qv), (p * q, pv * qv),
+                     (-p, -pv), (p ** 2, pv ** 2), (p * k, pv * k),
+                     (p + k, pv + k)):
+        assert all(type(c) is int and c for c in r.terms.values())
+        assert all(len(e) == 3 for e in r.terms)
+        assert r == MultivariatePolynomial(r.vars, r.terms)
+        assert r.eval(point) == value
 
 
 def test_exact_div_by_zero_rejected():
