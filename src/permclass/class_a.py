@@ -38,16 +38,17 @@ product sum_{i>=1} f1_i G_{n-i}, its slots shifted down one, added to
 fskew_n and summed from the top, so N^2/2 long-integer products in
 place of N^3/6 small ones; column 0 is H_0 = fskew(z, f(z,1)).
 
-The slots are exact while 2^S (2^(8B)) exceeds every coefficient, and
-as these are nonnegative each is at most the row's value at t = 1:
-sum_i f1_{i+1} W_{n-i}(1) for product row n, and fskew_n(1) +
-sum_{i>=1} f1_i G_{n-i}(1) for row n of G, both exact in O(n) before
-the row.  A slot is set, or widened with every row repacked, to
-bits(bound) + ceil(11 (N-s)/4) + 1 bits at row s, as 11/4 >
-log2(32/5), the growth rate; a product row must sum to its bound, or
-ConsistencyError.  The points and the radix depend on the order asked
-for, and the rows do not.  With S more bits a value product costs
-more, and near N=200 packing stops paying (see README).
+The slots are exact while 2^S exceeds every coefficient they hold.
+These are nonnegative, so fskew_n's are at most fskew_n(1) =
+sum_i f1_{i+1} W_{n-2-i}(1), and G_n's, suffix sums of its slots, at
+most G_{n,0} <= top = fskew_n(1) + sum_{i>=1} f1_i G_{n-i}(1) (not
+G_n(1)), both exact in O(n) before row n (f1_n G_0 = 0).  One slot,
+S = bits(top) + ceil(11 (N-s)/4) + 1 bits at row s (11/4 > log2(32/5),
+the growth rate), or ceil(S/8) bytes in the chain, is widened when top
+outgrows it, with every row repacked; a product row must sum to
+fskew_n(1), or ConsistencyError.  The points and the radix depend on
+the order asked for, not the rows.  With S more bits a value product
+costs more, and near N=200 packing stops paying (see README).
 """
 from __future__ import annotations
 
@@ -101,11 +102,12 @@ def iterate(n_max: int) -> ClassAState:
 
         f_s = fskew_s + (1+t) f_{s-1} - t f_{s-2},  s >= 2,
 
-    with f_0 = 1 and f_1 = t.  Product row n's new inputs, f_{n+1} and
-    W_n, are packed (``_pack``) and evaluated once at each point
-    T = -K..K, K = (n_max+1)//4; f_N is not, and W_{N-1} and W_N are
-    not formed.  Row s costs about s^2/2 value products, s long-integer
-    products and O(s) Horner passes.
+    with f_0 = 1 and f_1 = t.  Row s packs its new rows, f_{s-1} and
+    W_{s-2} (``_pack``), each evaluated once at the points T = -K..K,
+    K = (n_max+1)//4, and G_{s-1} (``_pack_bytes``), under one slot S;
+    a wider S repacks every row through the same loop.  f_N and G_N are
+    not packed, W_{N-1} and W_N not formed.  Row s costs about s^2/2
+    value products, s long-integer products and O(s) Horner passes.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -114,7 +116,6 @@ def iterate(n_max: int) -> ClassAState:
         raise ValueError("order must be >= 0, got %d" % n_max)
     f, fskew, f1 = [[1], [0, 1]], [[0], [0]], [1, 1]   # rows 0, 1; f(z,1)
     g, g1 = [[0], [0]], [0, 0]   # rows of the chain G, and G(z,1)
-    packed, size = [], 0   # G's rows packed in slots of ``size`` bytes
     g_sum, w, w1 = [0], [], []   # G's rows summed; rows of W, W(z,1)
     width, k = 0, (n_max + 1) // 4   # S, set at row 2; the points T = -k..k
     for s in range(2, n_max + 1):
@@ -124,15 +125,17 @@ def iterate(n_max: int) -> ClassAState:
         w.append(g_sum[:])
         w[-1][0] += f1[s - 2]
         w1.append(sum(w[-1]))
-        bound = sum(map(mul, f1[1:], reversed(w1)))
-        if (bits := bound.bit_length()) > width:   # (re)pack every row
-            width = _width(bits, s, n_max)   # at: per point, the rows' values
-            at = [list(map(list, zip(*(tpoly_values(_pack(r, width), k)
-                                       for r in x)))) for x in (f[1:], w)]
-        else:
-            for new, a in zip((f[-1], w[-1]), at):
-                for point, v in zip(a, tpoly_values(_pack(new, width), k)):
+        bound = sum(map(mul, f1[1:], reversed(w1)))   # fskew_s(1)
+        top = bound + sum(map(mul, f1[1:], reversed(g1)))   # >= G_{s,0}
+        if (bits := top.bit_length()) > width:   # (re)pack every row
+            width = _width(bits, s, n_max)
+            size = -(-width // 8)   # bytes a slot of the chain's rows
+            at, packed = [[[] for _ in range(2 * k + 1)] for _ in (f, w)], []
+        for r in range(len(packed) + 2, s + 1):   # f_{r-1}, W_{r-2}, G_{r-1}
+            for x, a in zip((f[r - 1], w[r - 2]), at):
+                for point, v in zip(a, tpoly_values(_pack(x, width), k)):
                     point.append(v)
+            packed.append(_pack_bytes(g[r - 1], size))
         fskew.append(_product_row(at, width, bound))
         row = fskew[s] + [0] * (s + 1 - len(fskew[s]))
         for j, (x, y) in enumerate(zip_longest(f[-1], f[-2], fillvalue=0)):
@@ -140,13 +143,8 @@ def iterate(n_max: int) -> ClassAState:
             row[j + 1] += x - y
         f.append(tpoly_sum(row))
         f1.append(sum(f[s]))
-        bound += sum(map(mul, f1[1:], reversed(g1)))   # and of G's row s
-        if (bits := bound.bit_length()) > 8 * size:
-            size = -(-_width(bits, s, n_max) // 8)
-            packed = [_pack_bytes(r, size) for r in g]
         g.append(_chain_row(fskew[s], f1, packed, size))
         g1.append(sum(g[s]))
-        packed.append(_pack_bytes(g[s], size))
     state = ClassAState(order=n_max, f=BivariateSeries(f, n_max),
                         fskew=BivariateSeries(fskew, n_max),
                         fskew_at_f1=UnivariateSeries([r[0] for r in g], n_max))
@@ -199,8 +197,8 @@ def _pack_bytes(p: list, size: int) -> int:
 
 
 def _chain_row(u: list, f1: list, packed: list, size: int) -> list:
-    """Row n = len(packed) of G from row n of fskew, u, and G's rows in
-    slots of ``size`` bytes: H_j = fskew_j + f1 H_{j+1} at z^n is
+    """Row n of G from row n of fskew, u, and G's rows 1..n-1 (G_0 = 0)
+    in slots of ``size`` bytes: H_j = fskew_j + f1 H_{j+1} at z^n is
     G_{n,j} = u_j + q_{j+1} + G_{n,j+1}, q = sum_{i>=1} f1_i G_{n-i}."""
     q = sum(map(mul, f1[1:], reversed(packed))) >> 8 * size
     q += _pack_bytes(u, size)
@@ -219,8 +217,3 @@ def counts(state: ClassAState) -> list[int]:
     f1 = state.f.subst_t(1)
     return [int(x) for x in f1.c]
 
-
-def fskew_at_f1(state: ClassAState) -> UnivariateSeries:
-    """fskew(z, f(z,1)), annihilated by the degree-3-in-g algebraic
-    relation: the Omega chain's H_0 = sum_k fskew_k f1^k (``iterate``)."""
-    return state.fskew_at_f1

@@ -9,9 +9,9 @@ Exit codes: 0 success; 2 usage, parse or out-of-range input error;
 3 oracle/functional-equation mismatch; 4 node budget exhausted;
 5 verification failed; 6 internal consistency failure (any other
 ArithmeticError, such as a non-integer count or an inexact division,
-or a bundled fixture whose checksum does not match); 7 no polynomial
-found; 8 guess gave up: no kernel vector passed the exact check within
-algebraic.MAX_PRIMES primes.
+or a bundled fixture file that cannot be read or whose checksum does
+not match); 7 no polynomial found; 8 guess gave up: no kernel vector
+passed the exact check within algebraic.MAX_PRIMES primes.
 """
 from __future__ import annotations
 
@@ -83,7 +83,7 @@ def _series_for(class_id: str, source: str, order: int) -> UnivariateSeries:
     state = mod.iterate(order)
     if source == "f1":
         return state.f.subst_t(1)
-    return class_a.fskew_at_f1(state)
+    return state.fskew_at_f1
 
 
 def cmd_count(args) -> int:

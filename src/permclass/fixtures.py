@@ -20,7 +20,11 @@ class FixtureIntegrityError(RuntimeError):
 
 
 def _data_text(name: str) -> str:
-    return (resources.files(__package__) / "data" / name).read_text()
+    try:
+        return (resources.files(__package__) / "data" / name).read_text()
+    except OSError as exc:
+        raise FixtureIntegrityError("cannot read bundled file %s: %s"
+                                    % (name, exc.strerror or exc)) from exc
 
 
 def _checksums() -> dict[str, str]:

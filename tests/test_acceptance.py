@@ -58,7 +58,7 @@ def test_criterion_04_degree3_guess_reproduced_and_verified(state_a60):
 
 
 def test_criterion_05_fskew_composition_annihilated_to_38(state_a60):
-    series = class_a.fskew_at_f1(state_a60).truncate(40)
+    series = state_a60.fskew_at_f1.truncate(40)
     residual = algebraic.verify_annihilation(
         fixtures.eq6_min_poly(),
         {"z": UnivariateSeries.z(40), "y": series})

@@ -86,6 +86,23 @@ def test_narrow_chain_slots_repack_to_the_same_rows(monkeypatch, chain_sizes,
     assert len(chain_sizes) > 2
 
 
+def test_narrow_slots_hold_every_chain_row(monkeypatch, state_a100):
+    """With no headroom per row, the one slot is set from each row's top
+    bound alone, and the chain's bytes still hold the largest
+    coefficient, G_{n,0}, of every row of G they make: the top bound
+    covers G's rows, not only fskew's."""
+    monkeypatch.setattr(class_a, "_QUARTER_BITS_PER_ROW", 0)
+    chain_row, fits = class_a._chain_row, []
+
+    def checked(u, f1, packed, size):
+        row = chain_row(u, f1, packed, size)
+        fits.append(row[0] < 1 << 8 * size)
+        return row
+    monkeypatch.setattr(class_a, "_chain_row", checked)
+    assert class_a.iterate(100) == state_a100
+    assert fits == [True] * 99
+
+
 @pytest.mark.parametrize("order", [60, 120])
 def test_shipped_slot_rule_packs_the_chain_once(chain_sizes, order):
     class_a.iterate(order)
@@ -112,7 +129,7 @@ def test_each_row_is_evaluated_once_at_each_point(monkeypatch, order, calls):
 def test_fskew_at_f1_is_the_substitution_to_100(state_a100):
     """The chain's column 0, carried on the state, against fskew's rows
     substituted at t = f(z,1) by Horner over fskew's columns."""
-    assert class_a.fskew_at_f1(state_a100) == state_a100.fskew.subst_t(
+    assert state_a100.fskew_at_f1 == state_a100.fskew.subst_t(
         state_a100.f.subst_t(1))
 
 
@@ -131,7 +148,7 @@ def test_eq6_annihilates_fskew_at_f1_to_100(state_a100):
     sums."""
     residual = algebraic.verify_annihilation(
         fixtures.eq6_min_poly(),
-        {"z": UnivariateSeries.z(100), "y": class_a.fskew_at_f1(state_a100)})
+        {"z": UnivariateSeries.z(100), "y": state_a100.fskew_at_f1})
     assert residual > 100
 
 

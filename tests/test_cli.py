@@ -656,6 +656,24 @@ def test_corrupted_fixture_exits_6_with_one_line(capsys, monkeypatch, argv):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--class", "class_a", "--fixture", "eq5", "--order", "5"),
+    ("growth", "--class", "class_a"),
+], ids=["verify", "growth"])
+def test_missing_fixture_exits_6_with_one_line(capsys, monkeypatch, tmp_path,
+                                               argv):
+    """A package whose data directory holds CHECKSUMS but not the
+    polynomial files names the missing file in one error line."""
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "CHECKSUMS").write_text(
+        fixtures._data_text("CHECKSUMS"))
+    monkeypatch.setattr(fixtures.resources, "files", lambda package: tmp_path)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err == ("error: cannot read bundled file eq5_min_poly.txt: "
+                   "No such file or directory\n")
+
+
 @pytest.mark.parametrize("error", [
     ArithmeticError("P is not linear in y0..y3"),
     NotDivisibleError("inexact polynomial division"),
