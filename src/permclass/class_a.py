@@ -37,6 +37,13 @@ whole, row m of G at t = 2^(8B), B bytes a slot: row n of G is one dot
 product sum_{i>=1} f1_i G_{n-i}, its slots shifted down one, added to
 fskew_n and summed from the top, so N^2/2 long-integer products in
 place of N^3/6 small ones; column 0 is H_0 = fskew(z, f(z,1)).
+Below order 60 (``_ONE_POINT_BELOW``, measured) the product is packed
+the same way: rows of f and W whole in the chain's B-byte slots, product
+row n one dot product of length n+1, read off its slots, with no Horner
+pass or interpolation; N=30/40 take 0.5/0.6 of the time at the points.
+Its factors are n+1 integers of about nB bytes, and their products
+outgrow the points' short ones: from N=60 the points win, and at N=120
+one point is 3.2 times slower, so both stay, chosen by the order.
 
 The slots are exact while 2^S exceeds every coefficient they hold.
 These are nonnegative, so fskew_n's are at most fskew_n(1) =
@@ -61,6 +68,7 @@ from .series import (BivariateSeries, ConsistencyError, UnivariateSeries,
                      tpoly_values)
 
 _QUARTER_BITS_PER_ROW = 11   # a slot's headroom per row to come, times 4
+_ONE_POINT_BELOW = 60   # orders below multiply whole rows at t = 2^(8B)
 
 
 @dataclass(frozen=True)
@@ -105,9 +113,12 @@ def iterate(n_max: int) -> ClassAState:
     with f_0 = 1 and f_1 = t.  Row s packs its new rows, f_{s-1} and
     W_{s-2} (``_pack``), each evaluated once at the points T = -K..K,
     K = (n_max+1)//4, and G_{s-1} (``_pack_bytes``), under one slot S;
-    a wider S repacks every row through the same loop.  f_N and G_N are
-    not packed, W_{N-1} and W_N not formed.  Row s costs about s^2/2
-    value products, s long-integer products and O(s) Horner passes.
+    a wider S repacks every row through the same loop.  Below order
+    ``_ONE_POINT_BELOW`` f_{s-1} and W_{s-2} are packed whole like
+    G_{s-1}, at the one point t = 2^(8B).  f_N and G_N are not packed,
+    W_{N-1} and W_N not formed.  Row s costs about s^2/2 value products,
+    s long-integer products and O(s) Horner passes; at one point, 2s
+    long-integer products and none.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -118,6 +129,7 @@ def iterate(n_max: int) -> ClassAState:
     g, g1 = [[0], [0]], [0, 0]   # rows of the chain G, and G(z,1)
     g_sum, w, w1 = [0], [], []   # G's rows summed; rows of W, W(z,1)
     width, k = 0, (n_max + 1) // 4   # S, set at row 2; the points T = -k..k
+    points = 1 if n_max < _ONE_POINT_BELOW else 2 * k + 1
     for s in range(2, n_max + 1):
         g_sum += [0] * (len(g[s - 2]) - len(g_sum))
         for j, x in enumerate(g[s - 2]):
@@ -130,13 +142,14 @@ def iterate(n_max: int) -> ClassAState:
         if (bits := top.bit_length()) > width:   # (re)pack every row
             width = _width(bits, s, n_max)
             size = -(-width // 8)   # bytes a slot of the chain's rows
-            at, packed = [[[] for _ in range(2 * k + 1)] for _ in (f, w)], []
+            at, packed = [[[] for _ in range(points)] for _ in (f, w)], []
         for r in range(len(packed) + 2, s + 1):   # f_{r-1}, W_{r-2}, G_{r-1}
             for x, a in zip((f[r - 1], w[r - 2]), at):
-                for point, v in zip(a, tpoly_values(_pack(x, width), k)):
+                for point, v in zip(a, [_pack_bytes(x, size)] if points == 1
+                                    else tpoly_values(_pack(x, width), k)):
                     point.append(v)
             packed.append(_pack_bytes(g[r - 1], size))
-        fskew.append(_product_row(at, width, bound))
+        fskew.append(_product_row(at, width, size, bound))
         row = fskew[s] + [0] * (s + 1 - len(fskew[s]))
         for j, (x, y) in enumerate(zip_longest(f[-1], f[-2], fillvalue=0)):
             row[j] += x   # + (1+t) f_{s-1} - t f_{s-2}
@@ -157,27 +170,31 @@ def _width(bits: int, s: int, n_max: int) -> int:
     return bits + 1 + -(-_QUARTER_BITS_PER_ROW * (n_max - s) // 4)
 
 
-def _product_row(at: list, width: int, bound: int) -> list:
-    """Row n of fz W, fz = (f-1)/z, from the values at T = -K..K
-    (``at``) of fz's and W's rows 0..n packed with slot width
-    ``width``; the row must sum to ``bound``.
+def _product_row(at: list, width: int, size: int, bound: int) -> list:
+    """Row n of fz W, fz = (f-1)/z, from fz's and W's rows 0..n as
+    values (``at``), either whole at t = 2^(8 size) or packed with slot
+    width ``width`` at T = -K..K; the row must sum to ``bound``.
 
-    fz_i = f_{i+1} has t-degree i+1 and W_m at most m, so the packed
-    row has T-degree at most (n+1)/2: the values are one dot product at
-    each of the middle 2k+1 points, k = (n+3)//4, and the interpolated
-    blocks are unpacked by shifts and masks.
+    At one point the row is one dot product, read off its slots.  At
+    the points, fz_i = f_{i+1} has t-degree i+1 and W_m at most m, so
+    the packed row has T-degree at most (n+1)/2: the values are one dot
+    product at each of the middle 2k+1 points, k = (n+3)//4, and the
+    interpolated blocks are unpacked by shifts and masks.
     """
     n, mid = len(at[0][0]) - 1, len(at[0]) // 2
-    k = (n + 3) // 4
+    k = (n + 3) // 4 if mid else 0
     values = [sum(map(mul, a, reversed(b)))
               for a, b in zip(*(x[mid - k:mid + k + 1] for x in at),
                               strict=True)]
-    blocks = tpoly_interpolate(values, -k)
-    mask, row = (1 << width) - 1, [0] * (2 * len(blocks) + 1)
-    for m, c in enumerate(blocks):
-        row[2 * m] += c & mask
-        row[2 * m + 1] += c >> width & mask
-        row[2 * m + 2] += c >> 2 * width
+    if not mid:
+        row = _unpack_bytes(values[0], size)
+    else:
+        blocks = tpoly_interpolate(values, -k)
+        mask, row = (1 << width) - 1, [0] * (2 * len(blocks) + 1)
+        for m, c in enumerate(blocks):
+            row[2 * m] += c & mask
+            row[2 * m + 1] += c >> width & mask
+            row[2 * m + 2] += c >> 2 * width
     if sum(row) != bound:
         raise ConsistencyError("row z^%d of fskew does not sum to its "
                                "value at t = 1" % (n + 2))
@@ -202,10 +219,14 @@ def _chain_row(u: list, f1: list, packed: list, size: int) -> list:
     G_{n,j} = u_j + q_{j+1} + G_{n,j+1}, q = sum_{i>=1} f1_i G_{n-i}."""
     q = sum(map(mul, f1[1:], reversed(packed))) >> 8 * size
     q += _pack_bytes(u, size)
+    return list(accumulate(reversed(_unpack_bytes(q, size))))[::-1]
+
+
+def _unpack_bytes(q: int, size: int) -> list:
+    """The coefficients of q read off its slots of ``size`` bytes."""
     data = q.to_bytes((q.bit_length() + 7) // 8, "little")
-    return list(accumulate(reversed([
-        int.from_bytes(data[i:i + size], "little")
-        for i in range(0, len(data), size)])))[::-1]
+    return [int.from_bytes(data[i:i + size], "little")
+            for i in range(0, len(data), size)]
 
 
 def counts(state: ClassAState) -> list[int]:

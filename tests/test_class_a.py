@@ -103,18 +103,48 @@ def test_narrow_slots_hold_every_chain_row(monkeypatch, state_a100):
     assert fits == [True] * 99
 
 
-@pytest.mark.parametrize("order", [60, 120])
+def test_narrow_slots_repack_whole_rows_to_the_same_rows(
+        monkeypatch, chain_sizes, state_a60):
+    """Below ``_ONE_POINT_BELOW`` f's and W's rows sit whole in the
+    chain's byte slots; with no headroom per row the slots widen again
+    and again, every widening repacking them with G's, and the rows
+    still equal the order-60 state's, truncated."""
+    monkeypatch.setattr(class_a, "_QUARTER_BITS_PER_ROW", 0)
+    state = class_a.iterate(40)
+    assert state.f == state_a60.f.truncate(40)
+    assert state.fskew == state_a60.fskew.truncate(40)
+    assert state.fskew_at_f1 == state_a60.fskew_at_f1.truncate(40)
+    assert len(chain_sizes) > 1
+
+
+@pytest.mark.parametrize("order", [40, 60, 120])
 def test_shipped_slot_rule_packs_the_chain_once(chain_sizes, order):
     class_a.iterate(order)
     assert len(chain_sizes) == 1
 
 
-@pytest.mark.parametrize("order, calls", [(3, 4), (10, 36), (60, 1770)])
+@pytest.mark.parametrize("order", [3, 10, class_a._ONE_POINT_BELOW - 1])
+def test_below_the_crossover_no_row_is_evaluated_at_points(
+        monkeypatch, pack_widths, order):
+    """Below ``_ONE_POINT_BELOW`` each product row is one dot product of
+    whole rows: no row is packed in pairs, evaluated at the points or
+    interpolated."""
+    calls = []
+    for name in ("tpoly_values", "tpoly_interpolate"):
+        def spy(*args, name=name, call=getattr(class_a, name)):
+            calls.append(name)
+            return call(*args)
+        monkeypatch.setattr(class_a, name, spy)
+    class_a.iterate(order)
+    assert calls == [] and pack_widths == set()
+
+
+@pytest.mark.parametrize("order, calls", [(60, 1770), (100, 4950)])
 def test_each_row_is_evaluated_once_at_each_point(monkeypatch, order, calls):
-    """The 2N-2 packed rows that the product rows read, f_1..f_{N-1} of
-    (f-1)/z and W_0..W_{N-2}, are each evaluated once, at every pair of
-    points T = +-1..+-K, K = (N+1)//4: (2N-2) K pair evaluations, no
-    more."""
+    """From ``_ONE_POINT_BELOW`` on, the 2N-2 packed rows that the
+    product rows read, f_1..f_{N-1} of (f-1)/z and W_0..W_{N-2}, are
+    each evaluated once, at every pair of points T = +-1..+-K,
+    K = (N+1)//4: (2N-2) K pair evaluations, no more."""
     evaluate, seen = class_a.tpoly_values, []
 
     def counted(p, k):

@@ -602,10 +602,10 @@ def test_consistency_failure_exit_code(capsys, monkeypatch):
 
 
 def test_inexact_interpolation_exit_code(capsys, monkeypatch):
-    """With every packed row value that the evaluator forms at
-    T = t^2 = 2 off by one, the product values at T = 2 are off too,
-    and the interpolation's division by k! leaves a remainder: exit 6
-    with one error line."""
+    """From ``class_a._ONE_POINT_BELOW`` on, with every packed row value
+    that the evaluator forms at T = t^2 = 2 off by one, the product
+    values at T = 2 are off too, and the interpolation's division by k!
+    leaves a remainder: exit 6 with one error line."""
     evaluate = class_a.tpoly_values
 
     def off_at_2(p, k):
@@ -615,7 +615,8 @@ def test_inexact_interpolation_exit_code(capsys, monkeypatch):
         return values
     monkeypatch.setattr(class_a, "tpoly_values", off_at_2)
     code, out, err = run_cli(capsys, "count", "--class", "class_a", "--n",
-                             "10", "--method", "functional_equation")
+                             str(class_a._ONE_POINT_BELOW),
+                             "--method", "functional_equation")
     assert code == cli.EXIT_INCONSISTENT
     assert out == ""
     assert err.startswith("error: values are not those of an integer "
@@ -623,10 +624,10 @@ def test_inexact_interpolation_exit_code(capsys, monkeypatch):
 
 
 def test_overflowing_slot_exits_6(capsys, monkeypatch, pack_widths):
-    """With one slot of one packed product row off by 2^S, S the slot
-    width, the interpolation is exact and every coefficient a
-    nonnegative int, but the unpacked row no longer sums to its value
-    at t = 1: exit 6 with one error line."""
+    """From ``class_a._ONE_POINT_BELOW`` on, with one slot of one packed
+    product row off by 2^S, S the slot width, the interpolation is exact
+    and every coefficient a nonnegative int, but the unpacked row no
+    longer sums to its value at t = 1: exit 6 with one error line."""
     interpolate = class_a.tpoly_interpolate
 
     def overflow(values, start):
@@ -636,10 +637,33 @@ def test_overflowing_slot_exits_6(capsys, monkeypatch, pack_widths):
         return blocks
     monkeypatch.setattr(class_a, "tpoly_interpolate", overflow)
     code, out, err = run_cli(capsys, "count", "--class", "class_a", "--n",
+                             str(class_a._ONE_POINT_BELOW),
+                             "--method", "functional_equation")
+    assert (code, out) == (cli.EXIT_INCONSISTENT, "")
+    assert err == "error: row z^11 of fskew does not sum to its value " \
+        "at t = 1\n"
+
+
+def test_corrupted_one_point_product_exits_6(capsys, monkeypatch):
+    """Below ``class_a._ONE_POINT_BELOW``, with one slot of the one dot
+    product for row z^11 off by one, the row no longer sums to its value
+    at t = 1: exit 6 with one error line.  Row s reads its product's
+    slots, then its chain row's, so that product is the 19th reading."""
+    unpack_bytes, readings = class_a._unpack_bytes, []
+
+    def corrupted(q, size):
+        slots = unpack_bytes(q, size)
+        readings.append(q)
+        if len(readings) == 19:
+            slots[3] += 1
+        return slots
+    monkeypatch.setattr(class_a, "_unpack_bytes", corrupted)
+    code, out, err = run_cli(capsys, "count", "--class", "class_a", "--n",
                              "20", "--method", "functional_equation")
     assert (code, out) == (cli.EXIT_INCONSISTENT, "")
     assert err == "error: row z^11 of fskew does not sum to its value " \
         "at t = 1\n"
+    assert len(readings) == 19
 
 
 @pytest.mark.parametrize("argv", [

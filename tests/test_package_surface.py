@@ -21,6 +21,7 @@ import pathlib
 import sys
 
 import permclass
+from permclass import class_a
 
 PACKAGE = pathlib.Path(permclass.__file__).resolve().parent
 
@@ -84,6 +85,8 @@ def _runs(poly_file):
          "--order", "20"],
         ["kernel-check", "--order", "10"],
         ["kernel-check", "--order", "10", "--format", "json"],
+        ["count", "--class", "class_a", "--n", str(class_a._ONE_POINT_BELOW),
+         "--method", "functional_equation"],
         ["count", "--class", "class_a", "--n", "-1"],
         ["count", "--class", "class_a", "--n", "9", "--method", "oracle",
          "--node-budget", "50"],
