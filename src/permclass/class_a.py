@@ -36,9 +36,10 @@ coefficient product would cost about N^4/24.  The chain is packed
 whole, row m of G at t = 2^(8B), B bytes a slot: row n of G is one dot
 product sum_{i>=1} f1_i G_{n-i}, its slots shifted down one, added to
 fskew_n and summed from the top, so N^2/2 long-integer products in
-place of N^3/6 small ones; column 0 is H_0 = fskew(z, f(z,1)).
+place of N^3/6 small ones; column 0 is H_0 = fskew(z, f(z,1)).  W has
+no rows: packing being linear, its values are summed from G's.
 Below order 60 (``_ONE_POINT_BELOW``, measured) the product is packed
-the same way: rows of f and W whole in the chain's B-byte slots, product
+the same way: rows of f and G whole in the chain's B-byte slots, product
 row n one dot product of length n+1, read off its slots, with no Horner
 pass or interpolation; N=30/40 take 0.5/0.6 of the time at the points.
 Its factors are n+1 integers of about nB bytes, and their products
@@ -60,12 +61,12 @@ costs more, and near N=200 packing stops paying (see README).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, zip_longest
+from itertools import zip_longest
 from operator import mul
 
 from .series import (BivariateSeries, ConsistencyError, UnivariateSeries,
-                     check_counting, tpoly_interpolate, tpoly_sum,
-                     tpoly_values)
+                     check_counting, tpoly_interpolate, tpoly_suffix_sums,
+                     tpoly_sum, tpoly_values)
 
 _QUARTER_BITS_PER_ROW = 11   # a slot's headroom per row to come, times 4
 _ONE_POINT_BELOW = 60   # orders below multiply whole rows at t = 2^(8B)
@@ -104,21 +105,22 @@ def iterate(n_max: int) -> ClassAState:
     """Compute f and fskew exactly to order n_max, one row at a time.
 
     Row s of fskew = z (f-1) W is row n = s-2 of fz W, fz = (f-1)/z,
-    from rows 0..n of fz and W (``_product_row``); row m of
-    W = f1 + G/(1-z) is f1_m plus the sum of rows 0..m of G
-    (``_chain_row``); and by the second equation,
+    from rows 0..n of fz and W (``_product_row``), with G from
+    ``_chain_row``; and by the second equation,
 
         f_s = fskew_s + (1+t) f_{s-1} - t f_{s-2},  s >= 2,
 
     with f_0 = 1 and f_1 = t.  Row s packs its new rows, f_{s-1} and
-    W_{s-2} (``_pack``), each evaluated once at the points T = -K..K,
+    G_{s-2} (``_pack``), each evaluated once at the points T = -K..K,
     K = (n_max+1)//4, and G_{s-1} (``_pack_bytes``), under one slot S;
     a wider S repacks every row through the same loop.  Below order
-    ``_ONE_POINT_BELOW`` f_{s-1} and W_{s-2} are packed whole like
-    G_{s-1}, at the one point t = 2^(8B).  f_N and G_N are not packed,
-    W_{N-1} and W_N not formed.  Row s costs about s^2/2 value products,
-    s long-integer products and O(s) Horner passes; at one point, 2s
-    long-integer products and none.
+    ``_ONE_POINT_BELOW`` f_{s-1} and G_{s-2} are packed whole like
+    G_{s-1}, at the one point t = 2^(8B).  W = f1 + G/(1-z) is kept
+    only as values, W_{s-2}'s being W_{s-3}'s plus G_{s-2}'s plus
+    f1_{s-2} - f1_{s-3}; f_N and G_N are not packed, G_{N-1} is not
+    evaluated.  Row s costs about s^2/2 value products, s long-integer
+    products and O(s) Horner passes; at one point, 2s long-integer
+    products and none.
 
     >>> iterate(4).f.subst_t(1).c
     [1, 1, 2, 6, 22]
@@ -126,28 +128,26 @@ def iterate(n_max: int) -> ClassAState:
     if n_max < 0:
         raise ValueError("order must be >= 0, got %d" % n_max)
     f, fskew, f1 = [[1], [0, 1]], [[0], [0]], [1, 1]   # rows 0, 1; f(z,1)
-    g, g1 = [[0], [0]], [0, 0]   # rows of the chain G, and G(z,1)
-    g_sum, w, w1 = [0], [], []   # G's rows summed; rows of W, W(z,1)
+    g, g1, w1 = [[0], [0]], [0, 0], []   # rows of the chain G; G, W at t = 1
     width, k = 0, (n_max + 1) // 4   # S, set at row 2; the points T = -k..k
     points = 1 if n_max < _ONE_POINT_BELOW else 2 * k + 1
     for s in range(2, n_max + 1):
-        g_sum += [0] * (len(g[s - 2]) - len(g_sum))
-        for j, x in enumerate(g[s - 2]):
-            g_sum[j] += x
-        w.append(g_sum[:])
-        w[-1][0] += f1[s - 2]
-        w1.append(sum(w[-1]))
+        w1.append(f1[s - 2] + sum(g1[:-1]))   # W_{s-2}(1)
         bound = sum(map(mul, f1[1:], reversed(w1)))   # fskew_s(1)
         top = bound + sum(map(mul, f1[1:], reversed(g1)))   # >= G_{s,0}
         if (bits := top.bit_length()) > width:   # (re)pack every row
             width = _width(bits, s, n_max)
             size = -(-width // 8)   # bytes a slot of the chain's rows
-            at, packed = [[[] for _ in range(points)] for _ in (f, w)], []
+            at, packed = [[[] for _ in range(points)] for _ in range(2)], []
         for r in range(len(packed) + 2, s + 1):   # f_{r-1}, W_{r-2}, G_{r-1}
-            for x, a in zip((f[r - 1], w[r - 2]), at):
-                for point, v in zip(a, [_pack_bytes(x, size)] if points == 1
-                                    else tpoly_values(_pack(x, width), k)):
-                    point.append(v)
+            # at each point W_{r-2} = W_{r-3} + G_{r-2} + f1_{r-2} - f1_{r-3}
+            step = f1[r - 2] - f1[r - 3] if r > 2 else 1
+            for fz, w, x, y in zip(*at, *(
+                    [_pack_bytes(p, size)] if points == 1
+                    else tpoly_values(_pack(p, width), k)
+                    for p in (f[r - 1], g[r - 2]))):
+                fz.append(x)
+                w.append((w[-1] if w else 0) + y + step)
             packed.append(_pack_bytes(g[r - 1], size))
         fskew.append(_product_row(at, width, size, bound))
         row = fskew[s] + [0] * (s + 1 - len(fskew[s]))
@@ -216,10 +216,11 @@ def _pack_bytes(p: list, size: int) -> int:
 def _chain_row(u: list, f1: list, packed: list, size: int) -> list:
     """Row n of G from row n of fskew, u, and G's rows 1..n-1 (G_0 = 0)
     in slots of ``size`` bytes: H_j = fskew_j + f1 H_{j+1} at z^n is
-    G_{n,j} = u_j + q_{j+1} + G_{n,j+1}, q = sum_{i>=1} f1_i G_{n-i}."""
+    G_{n,j} = u_j + q_{j+1} + G_{n,j+1}, q = sum_{i>=1} f1_i G_{n-i}:
+    the suffix sums of the slots of u plus q shifted down one."""
     q = sum(map(mul, f1[1:], reversed(packed))) >> 8 * size
     q += _pack_bytes(u, size)
-    return list(accumulate(reversed(_unpack_bytes(q, size))))[::-1]
+    return tpoly_suffix_sums(_unpack_bytes(q, size))
 
 
 def _unpack_bytes(q: int, size: int) -> list:

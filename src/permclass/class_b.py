@@ -30,9 +30,11 @@ quotient row is added to the row of f it feeds when made; none is kept.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, zip_longest
+from operator import add
 
 from .series import (BivariateSeries, OnlineQuotient, UnivariateSeries,
-                     check_counting, tpoly_sum)
+                     check_counting, tpoly_suffix_sums, tpoly_sum)
 
 
 @dataclass(frozen=True)
@@ -71,10 +73,8 @@ def s_series(order: int) -> BivariateSeries:
 def _suffix_sums(w: BivariateSeries) -> list[UnivariateSeries]:
     """S_j(z) = sum_{k >= j} w_k(z) for j = 0..deg_t w + 1 (last one
     zero), w_k the t^k column of w."""
-    sums = [UnivariateSeries.zero(w.order)]
-    for col in reversed(w.columns()):
-        sums.append(col + sums[-1])
-    return sums[::-1]
+    return list(accumulate(reversed(w.columns()),
+                           initial=UnivariateSeries.zero(w.order)))[::-1]
 
 
 def phi_apply(w: BivariateSeries, s: BivariateSeries) -> BivariateSeries:
@@ -161,8 +161,8 @@ def iterate(n_max: int) -> ClassBState:
         row = tpoly_sum(*due.pop(0))
         due.append([])            # now rows n+1 .. n+4
         f.append(row)
-        a = _suffix_sums_row(row)               # row n of A
-        b = _suffix_sums_row(a[1:])             # row n of B
+        a = tpoly_suffix_sums(row)              # row n of A
+        b = tpoly_suffix_sums(a[1:])            # row n of B
         due[3].append([0, 0] + p.push(tpoly_sum(last, b)))
         last = q1.push(a)
         due[0].append(last)
@@ -174,28 +174,16 @@ def iterate(n_max: int) -> ClassBState:
     return state
 
 
-def _suffix_sums_row(row: list) -> list:
-    """[sum(row[j:]) for each j]; [0] for an empty row."""
-    out = list(row) or [0]
-    for j in range(len(out) - 2, -1, -1):
-        out[j] += out[j + 1]
-    return out
-
-
 def _xi_chain_row(lam_row: list, q: list) -> list:
     """The next row of sum_i t^i H_i for the chain
     H_i = Lambda_{i+1} + H_{i+1}/(1-z), given the same row of Lambda[f]
-    and the running z-sums q_i of the H_i, which it updates."""
-    top = max(len(lam_row), len(q)) - 2
-    q.extend([0] * (top + 2 - len(q)))
-    out = [0] * (top + 1)
-    above = 0                     # H_{i+1} in this row
-    for i in range(top, -1, -1):
-        q[i + 1] += above
-        above = out[i] = \
-            (lam_row[i + 1] if i + 1 < len(lam_row) else 0) + q[i + 1]
-    q[0] += above
-    return out or [0]
+    and the running z-sums q_i of the H_i, which it updates: H_i is
+    Lambda_{i+1} + q_{i+1} + H_{i+1}, a suffix sum, then q_i += H_i."""
+    h = tpoly_suffix_sums([x + y for x, y in
+                           zip_longest(lam_row[1:], q[1:], fillvalue=0)])
+    q.extend([0] * (len(lam_row) - len(q)))
+    q[:len(h)] = map(add, q, h)
+    return h
 
 
 def counts(state: ClassBState) -> list[int]:

@@ -15,6 +15,7 @@ Three invariants hold for every series built here:
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from operator import sub
 from typing import Sequence, Union
 
@@ -187,6 +188,16 @@ def tpoly_sum(*polys: Sequence[Coeff]) -> list:
         for j, x in enumerate(p):
             out[j] += x
     return _tpoly_trim(out)
+
+
+def tpoly_suffix_sums(p: Sequence[Coeff]) -> list:
+    """[sum(p[j:]) for j in range(len(p))], [0] for an empty p: the
+    coefficients of the divided difference sum_j p_j (1 + t + ... + t^j).
+
+    >>> tpoly_suffix_sums([1, 2, 3]), tpoly_suffix_sums([])
+    ([6, 5, 3], [0])
+    """
+    return list(accumulate(reversed(p)))[::-1] or [0]
 
 
 def tpoly_value(p: Sequence[Coeff], x: Coeff) -> Coeff:

@@ -105,10 +105,11 @@ def test_narrow_slots_hold_every_chain_row(monkeypatch, state_a100):
 
 def test_narrow_slots_repack_whole_rows_to_the_same_rows(
         monkeypatch, chain_sizes, state_a60):
-    """Below ``_ONE_POINT_BELOW`` f's and W's rows sit whole in the
-    chain's byte slots; with no headroom per row the slots widen again
-    and again, every widening repacking them with G's, and the rows
-    still equal the order-60 state's, truncated."""
+    """Below ``_ONE_POINT_BELOW`` f's rows sit whole in the chain's byte
+    slots, and W as values at that point; with no headroom per row the
+    slots widen again and again, every widening repacking f's and G's
+    rows and remaking W's values, and the rows still equal the order-60
+    state's, truncated."""
     monkeypatch.setattr(class_a, "_QUARTER_BITS_PER_ROW", 0)
     state = class_a.iterate(40)
     assert state.f == state_a60.f.truncate(40)
@@ -141,10 +142,11 @@ def test_below_the_crossover_no_row_is_evaluated_at_points(
 
 @pytest.mark.parametrize("order, calls", [(60, 1770), (100, 4950)])
 def test_each_row_is_evaluated_once_at_each_point(monkeypatch, order, calls):
-    """From ``_ONE_POINT_BELOW`` on, the 2N-2 packed rows that the
-    product rows read, f_1..f_{N-1} of (f-1)/z and W_0..W_{N-2}, are
-    each evaluated once, at every pair of points T = +-1..+-K,
-    K = (N+1)//4: (2N-2) K pair evaluations, no more."""
+    """From ``_ONE_POINT_BELOW`` on, the 2N-2 packed rows whose values
+    the product rows read, f_1..f_{N-1} of (f-1)/z and G_0..G_{N-2},
+    from which W_0..W_{N-2}'s are summed, are each evaluated once, at
+    every pair of points T = +-1..+-K, K = (N+1)//4: (2N-2) K pair
+    evaluations, no more."""
     evaluate, seen = class_a.tpoly_values, []
 
     def counted(p, k):

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 from permclass.series import (BivariateSeries, ConsistencyError,
                               OnlineQuotient, SeriesError, UnivariateSeries,
                               check_counting, row_product, tpoly_interpolate,
-                              tpoly_values)
+                              tpoly_suffix_sums, tpoly_values)
 
 coeffs = st.lists(st.integers(min_value=-9, max_value=9), min_size=1,
                   max_size=7)
@@ -271,6 +271,18 @@ def test_tpoly_values_are_plain_evaluations(coeffs, k):
     assert tpoly_values(coeffs, k) == [
         sum(c * x ** j for j, c in enumerate(coeffs))
         for x in range(-k, k + 1)]
+
+
+@given(st.lists(st.integers(min_value=-10 ** 6, max_value=10 ** 6),
+                max_size=12).map(lambda p: p + [0] * (len(p) % 3)))
+@example(p=[])                        # the empty list
+@example(p=[0])
+@example(p=[5, 0, 0])                 # trailing zeros are kept
+def test_tpoly_suffix_sums_are_plain_sums(p):
+    """The suffix sums, one per coefficient, with trailing zeros kept;
+    [0] for the empty list."""
+    assert tpoly_suffix_sums(p) == \
+        ([sum(p[j:]) for j in range(len(p))] or [0])
 
 
 @pytest.mark.parametrize("cls", [UnivariateSeries, BivariateSeries])
